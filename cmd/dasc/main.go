@@ -88,7 +88,7 @@ func main() {
 		case "":
 			res, err = core.ClusterContext(ctx, l.Points, cfg)
 		case "local":
-			res, err = core.ClusterMapReduceContext(ctx, l.Points, cfg, &mapreduce.Local{}, "cli")
+			res, err = core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{})
 		case "tcp":
 			res, err = runOverTCP(ctx, l, cfg, *workers)
 		case "tcp-shipped":
@@ -158,12 +158,12 @@ func runOverTCP(ctx context.Context, l *dataset.Labeled, cfg core.Config, worker
 			}
 		}()
 	}
-	return core.ClusterMapReduceContext(ctx, l.Points, cfg, master, "cli-tcp")
+	return core.ClusterMapReduceShippedContext(ctx, l.Points, cfg, master)
 }
 
 // runShipped starts a master and waits for external dascworker
-// processes before running the closure-free DASC jobs, so the workers
-// can live on other machines (or at least other processes).
+// processes before running the DASC jobs, so the workers can live on
+// other machines (or at least other processes).
 func runShipped(ctx context.Context, l *dataset.Labeled, cfg core.Config, listen string, workers int) (*core.Result, error) {
 	master, err := mapreduce.NewMaster(listen, workers)
 	if err != nil {

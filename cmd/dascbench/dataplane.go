@@ -2,9 +2,8 @@ package main
 
 // The MapReduce data-plane benchmarks: the k-way merge shuffle against
 // the concat+stable-sort it replaced, the binary frame codec round
-// trip, and the end-to-end shuffle-heavy TCP job under both the
-// pipelined frame protocol and the legacy lock-step gob configuration
-// (the pre-PR data plane, kept addressable via TCPConfig for replay).
+// trip, and the end-to-end shuffle-heavy TCP job on the pipelined
+// frame protocol, with and without frame compression.
 
 import (
 	"fmt"
@@ -79,7 +78,7 @@ func benchDataPlane(add addFunc, quick bool) error {
 	}
 
 	// Frame codec round trip over one run's worth of records, plain and
-	// through the v3 flate wrapper; the ratio is compressed/raw.
+	// through the flate wrapper; the ratio is compressed/raw.
 	var wireErr error
 	add("wire/encode", 0, 0, func() {
 		if _, err := mapreduce.WireRoundTrip(runs[0]); err != nil && wireErr == nil {
@@ -121,10 +120,6 @@ func benchDataPlane(add addFunc, quick bool) error {
 	}{
 		{"tcp/pipeline", mapreduce.TCPConfig{}, false},
 		{"tcp/pipeline-comp", mapreduce.TCPConfig{}, true},
-		{"tcp/lockstep-gob", mapreduce.TCPConfig{
-			MaxInFlight:    1,
-			MaxWireVersion: mapreduce.WireVersionGob,
-		}, false},
 	}
 	for _, c := range configs {
 		job := shuffleJob("dascbench/" + c.name)

@@ -1,9 +1,8 @@
 // Command dascworker is a standalone MapReduce worker process: it dials
 // the master, serves tasks until the master shuts down, and exits. The
-// closure-free DASC jobs (ClusterMapReduceShipped and the sharded
-// out-of-core jobs) are available to it through the factories
-// registered by the core package, so a real multi-process deployment
-// is:
+// DASC jobs (ClusterMapReduceShipped and the sharded out-of-core jobs)
+// are available to it through the factories registered by the core
+// package, so a real multi-process deployment is:
 //
 //	terminal 1:  dasc -algo dasc -mapreduce tcp-shipped -in data.csv
 //	terminal 2+: dascworker -master 127.0.0.1:<port>
@@ -11,8 +10,9 @@
 // For sharded jobs (core.ClusterMapReduceSharded) the shard directory
 // path inside the job conf must resolve on the worker's filesystem —
 // a shared mount in a real deployment. Workers cache one open shard
-// reader per directory for their lifetime; their demand-read bytes are
-// local and do not appear in the master's ShardReadBytes counter.
+// reader per directory for their lifetime, and every result frame
+// carries the worker's shard read meter, so their demand-read bytes
+// reach the master's ShardReadBytes counter.
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 
 	"repro/internal/mapreduce"
 
-	// Register the shipped DASC job factories in this process.
+	// Register the DASC job factories in this process.
 	_ "repro/internal/core"
 )
 

@@ -24,8 +24,8 @@ import (
 // of the evaluation metrics across algorithms.
 
 // TestAllDriversAgree runs the same configuration through the local,
-// incremental, closure-MapReduce and shipped-MapReduce drivers and
-// requires identical partitions.
+// incremental and shipped-MapReduce drivers and requires identical
+// partitions.
 func TestAllDriversAgree(t *testing.T) {
 	l, err := dataset.Mixture(dataset.MixtureConfig{N: 220, D: 12, K: 4, Noise: 0.03, Seed: 60})
 	if err != nil {
@@ -40,17 +40,12 @@ func TestAllDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := core.ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "integration")
-	if err != nil {
-		t.Fatal(err)
-	}
 	shipped, err := core.ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, labels := range map[string][]int{
 		"incremental": inc.Labels,
-		"mapreduce":   mr.Labels,
 		"shipped":     shipped.Labels,
 	} {
 		agree, err := metrics.Accuracy(ref.Labels, labels)

@@ -36,9 +36,6 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 	for _, spill := range []int64{1, 64, 1 << 20} {
 		cfg := Config{K: 3, Seed: 52, Compression: true, SpillBytes: spill}
 
-		mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, fmt.Sprintf("comp-closure-%d", spill))
-		check(fmt.Sprintf("closure/local spill=%d", spill), mr, err)
-
 		sh, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 		check(fmt.Sprintf("shipped/local spill=%d", spill), sh, err)
 
@@ -54,8 +51,7 @@ func TestCompressionLabelIdentityAcrossDrivers(t *testing.T) {
 		}
 	}
 
-	// And with compression off everything must still match — the flag's
-	// zero value is the prior release's exact data plane.
+	// And with compression off everything must still match.
 	off, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 52}, &mapreduce.Local{})
 	check("shipped/local compression=off", off, err)
 }
@@ -110,9 +106,10 @@ func TestCompressionLabelIdentityOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCompressionEmbedShippedIdentity covers the packed embed-bucket
-// record ('e'): same labels as the raw 'E' record, strictly fewer
-// shipped bytes.
+// TestCompressionEmbedShippedIdentity covers the embedded bucket
+// records under Compression: same labels with it on and off, and the
+// same record bytes, since Compression only switches flate on wire
+// frames and spill runs and never the record encoding.
 func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	l := mixture(t, 300, 10, 3, 0.03, 17)
 	cfg := Config{K: 3, Seed: 5, EmbedDim: 16, EmbedCutoff: 40}
@@ -138,100 +135,56 @@ func TestCompressionEmbedShippedIdentity(t *testing.T) {
 	if off.MapReduce.EmbedBytes == 0 {
 		t.Skip("no buckets embedded at this size; nothing to compare")
 	}
-	if res.MapReduce.EmbedBytes >= off.MapReduce.EmbedBytes {
-		t.Fatalf("packed embed records %d bytes >= raw %d bytes",
+	if res.MapReduce.EmbedBytes != off.MapReduce.EmbedBytes {
+		t.Fatalf("embed records take %d bytes with Compression, %d without",
 			res.MapReduce.EmbedBytes, off.MapReduce.EmbedBytes)
 	}
 }
 
-// TestPackedIndicesCodec pins the compact stage-2 index record: exact
-// round trip (sorted and unsorted), off-mode bytes identical to the
-// legacy encoding, and malformed inputs rejected.
+// TestPackedIndicesCodec pins the stage-2 index record's size and its
+// rejection of malformed input: sorted runs — the common bucket shape —
+// cost one byte per index.
 func TestPackedIndicesCodec(t *testing.T) {
-	cases := [][]int{
-		nil,
-		{0},
-		{5, 6, 7, 8},
-		{100000, 3, 99, 2_000_000_000},
-		{7, 7, 7},
-	}
-	for ci, idx := range cases {
-		packed := encodeIndicesConf(idx, true)
-		got, err := decodeIndicesConf(packed, true)
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		if len(got) != len(idx) {
-			t.Fatalf("case %d: %d indices back, want %d", ci, len(got), len(idx))
-		}
-		for i := range idx {
-			if got[i] != idx[i] {
-				t.Fatalf("case %d: index %d = %d, want %d", ci, i, got[i], idx[i])
-			}
-		}
-	}
-
-	// Sorted runs — the common bucket shape — must shrink vs 4 bytes/index.
 	sorted := make([]int, 500)
 	for i := range sorted {
 		sorted[i] = 1000 + i
 	}
-	if p, l := encodeIndicesConf(sorted, true), encodeIndicesConf(sorted, false); len(p) >= len(l) {
-		t.Fatalf("packed sorted indices %d bytes >= legacy %d", len(p), len(l))
-	}
-
-	legacy := encodeIndices([]int{1, 2, 3})
-	if conf := encodeIndicesConf([]int{1, 2, 3}, false); string(conf) != string(legacy) {
-		t.Fatal("off-mode index encoding diverged from legacy bytes")
+	if got := len(packIndices(sorted)); got > len(sorted)+4 {
+		t.Fatalf("packed sorted indices take %d bytes for %d indices", got, len(sorted))
 	}
 
 	for name, buf := range map[string][]byte{
-		"trailing garbage": append(encodeIndicesConf([]int{1, 2}, true), 0),
+		"trailing garbage": append(packIndices([]int{1, 2}), 0),
 		"count lies":       {200},
 		"empty varint":     {0x80},
+		"negative index":   packIndices([]int{-1}),
+		"index overflow":   packIndices([]int{1 << 31}),
 	} {
-		if _, err := decodeIndicesConf(buf, true); err == nil {
+		if _, err := unpackIndices(buf); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
 }
 
-// TestPackedStatsCodec pins the 'S' stats record: round trip, the
-// ≥13-byte floor that keeps it disjoint from 12-byte labels, and
-// off-mode bytes identical to legacy.
+// TestPackedStatsCodec pins the 'S' stats record's ≥13-byte floor,
+// which keeps it disjoint from 12-byte labels, and its rejection of
+// malformed input.
 func TestPackedStatsCodec(t *testing.T) {
-	s := BucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
-	rec := encodeBucketStatsConf(s, true)
-	if len(rec) < 13 {
-		t.Fatalf("packed stats record only %d bytes — can collide with labels", len(rec))
-	}
-	var got BucketSolution
-	if err := decodePackedBucketStats(rec, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.NNZ != s.NNZ || got.Fill != s.Fill || got.SolveNanos != s.SolveNanos ||
-		got.GramBytes != s.GramBytes || got.Solver != s.Solver {
-		t.Fatalf("round trip %+v != %+v", got, s)
-	}
-
 	// Zero-valued stats with an empty solver is the smallest record; it
 	// must still clear 12 bytes.
-	if min := encodeBucketStatsConf(BucketSolution{}, true); len(min) <= 12 {
-		t.Fatalf("minimal packed stats record is %d bytes", len(min))
+	if min := encodeBucketStats(BucketSolution{}); len(min) <= 12 {
+		t.Fatalf("minimal stats record is %d bytes", len(min))
 	}
 
-	if off := encodeBucketStatsConf(s, false); string(off) != string(encodeBucketStats(s)) {
-		t.Fatal("off-mode stats encoding diverged from legacy bytes")
-	}
-
+	s := BucketSolution{NNZ: 12345, Fill: 0.625, SolveNanos: 1 << 40, GramBytes: 9999, Solver: "dense"}
 	for name, buf := range map[string][]byte{
 		"empty":      {},
 		"wrong kind": {'X', 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
 		"bad ver":    {'S', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
-		"truncated":  encodeBucketStatsConf(s, true)[:6],
+		"truncated":  encodeBucketStats(s)[:6],
 	} {
 		var tmp BucketSolution
-		if err := decodePackedBucketStats(buf, &tmp); err == nil {
+		if err := decodeBucketStats(buf, &tmp); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -13,11 +13,14 @@
 // There is exactly one implementation of that dataflow — the canonical
 // plan in pipeline.go — and four drivers that run it on interchangeable
 // backends via the Runner interface: Cluster (in-process worker pool),
-// ClusterIncremental (bounded-memory sequential waves), ClusterMapReduce
-// (two MapReduce stages on any mapreduce.Executor, the paper's Hadoop
-// formulation), and ClusterMapReduceShipped (the closure-free variant
-// whose workers may live in other OS processes). Every driver has a
-// Context-taking form; the plain forms wrap context.Background().
+// ClusterIncremental (bounded-memory sequential waves),
+// ClusterMapReduceShipped (the paper's two MapReduce stages on any
+// mapreduce.Executor, with every input travelling in the records so
+// workers may live in other OS processes), and ClusterMapReduceSharded
+// (the same two stages over a shard directory that is never loaded
+// whole). Every bucket, on every driver, is solved by one function,
+// clusterOneBucket. Every driver has a Context-taking form; the plain
+// forms wrap context.Background().
 // EMRFlow additionally builds an emr job flow whose task costs follow
 // §4.1's model, for the elasticity study of Table 3.
 package core
@@ -119,14 +122,10 @@ type Config struct {
 	// the shuffle merges from disk. 0 (the default) keeps the shuffle
 	// fully in memory; labels are bit-identical at any setting.
 	SpillBytes int64
-	// Compression turns on the lossless compressed data plane for the
-	// MapReduce drivers: jobs run with mapreduce.Job.Compress (deflated
-	// spill runs and, on wire v3 TCP links, deflated frames), stage-2
-	// bucket index lists and solver-stats records use compact varint
-	// encodings, and the shipped embed path ships packed ('e') embedded
-	// records. Labels are bit-identical with it on or off — only bytes
-	// moved and CPU spent in the codec change. Off by default, which
-	// keeps every byte stream identical to prior releases.
+	// Compression turns on flate for the MapReduce drivers' data plane:
+	// jobs run with mapreduce.Job.Compress, which deflates spill runs and
+	// TCP wire frames. Labels are bit-identical with it on or off — only
+	// bytes moved and CPU spent in the codec change. Off by default.
 	Compression bool
 	// FitSample is the number of evenly spaced rows the sharded driver
 	// reads to fit its plan (LSH thresholds, kernel bandwidth) without
@@ -293,7 +292,7 @@ func Cluster(points *matrix.Dense, cfg Config) (*Result, error) {
 // ClusterContext is Cluster with cancellation: the context is checked
 // between pipeline stages and before every bucket solve.
 func ClusterContext(ctx context.Context, points *matrix.Dense, cfg Config) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &localRunner{})
+	return RunPipeline(ctx, denseRows{points}, cfg, &localRunner{})
 }
 
 // localRunner is the in-process backend: signatures are hashed inline
@@ -335,10 +334,9 @@ func (*localRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]
 // labels. Each worker reuses one sub-Gram scratch buffer across all the
 // buckets it processes.
 func solveBucketsParallel(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	n := p.Points.Rows()
 	sols := make([]BucketSolution, len(part.Buckets))
 	errs := make([]error, len(part.Buckets))
-	kf := kernel.NewGaussian(p.Sigma)
+	c := p.clusterConf()
 
 	order := make([]int, len(part.Buckets))
 	for i := range order {
@@ -373,7 +371,7 @@ func solveBucketsParallel(ctx context.Context, p *Plan, part *lsh.Partition) ([]
 					return
 				}
 				b := part.Buckets[bi]
-				sol, err := clusterOneBucket(p.Points, b.Indices, p.Cfg, n, kf, p.Embedder, &scratch)
+				sol, err := clusterOneBucket(p.Points, b.Indices, b.Indices, c, p.Embedder, &scratch)
 				if err != nil {
 					errs[bi] = fmt.Errorf("core: bucket %x: %w", b.Signature, err)
 					continue
@@ -421,39 +419,41 @@ func willEmbed(cfg Config, ni, n int) bool {
 	return ki > 1 && ki < ni
 }
 
-// clusterOneBucket runs the per-bucket pipeline through the spectral
-// solve engine: sub-Gram (dense or thresholded CSR per the engine's
-// policy), normalized Laplacian, eigenvectors, K-means — or, for
-// buckets the embed policy claims, kernel embedding + k-means with no
-// Gram at all. Tiny buckets short-circuit with SolverTrivial.
+// clusterOneBucket is the one per-bucket solve every driver runs, in
+// process or on a MapReduce worker: sub-Gram (dense or thresholded CSR
+// per the engine's policy), normalized Laplacian, eigenvectors,
+// K-means — or, for buckets the embed policy claims (emb non-nil),
+// kernel embedding + k-means with no Gram at all. Tiny buckets
+// short-circuit with SolverTrivial.
+//
+// indices are the bucket's global point indices (they size the bucket
+// and seed its solve); its rows are pts.Row(rows[i]). In-process
+// drivers pass the whole dataset with rows == indices; workers pass
+// only the bucket's rows with rows = 0..ni-1.
 //
 // Dense sub-Grams (and embedded row blocks) are built inside *buf
 // (grown as needed and reused across calls — each worker owns one) and
 // consumed in place: the Laplacian overwrites it, so nothing retains
 // the buffer after the solve. buf may point to a nil slice on first
 // use; sparse solves never touch it.
-func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf kernel.Kernel, emb embed.Embedder, buf *[]float64) (BucketSolution, error) {
+func clusterOneBucket(pts *matrix.Dense, rows, indices []int, c clusterConf, emb embed.Embedder, buf *[]float64) (BucketSolution, error) {
 	ni := len(indices)
-	ki := BucketK(cfg.K, ni, n)
+	ki := BucketK(c.K, ni, c.N)
 	if ni == 1 || ki == 1 {
 		return BucketSolution{Labels: make([]int, ni), K: 1, Solver: SolverTrivial}, nil
 	}
 	if ki == ni {
-		labels := make([]int, ni)
-		for i := range labels {
-			labels[i] = i
-		}
-		return BucketSolution{Labels: labels, K: ni, Solver: SolverTrivial}, nil
+		return BucketSolution{Labels: iota(ni), K: ni, Solver: SolverTrivial}, nil
 	}
 	ecfg := spectral.EngineConfig{
 		K:            ki,
-		Seed:         cfg.Seed + int64(indices[0]),
-		SparseCutoff: cfg.SparseCutoff,
-		Epsilon:      cfg.Epsilon,
+		Seed:         c.Seed + int64(indices[0]),
+		SparseCutoff: c.SparseCutoff,
+		Epsilon:      c.Epsilon,
 		Embedder:     emb,
-		EmbedCutoff:  cfg.EmbedCutoff,
+		EmbedCutoff:  c.EmbedCutoff,
 	}
-	res, stats, err := spectral.ClusterBucket(points, indices, kf, ecfg, buf)
+	res, stats, err := spectral.ClusterBucket(pts, rows, kernel.NewGaussian(c.Sigma), ecfg, buf)
 	if err == nil {
 		return BucketSolution{
 			Labels: res.Labels, K: ki,
@@ -463,11 +463,11 @@ func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf
 	}
 	// Degenerate sub-Gram (e.g. all-zero similarities): fall back to
 	// K-means on the raw bucket points rather than failing the run.
-	bucketPts := matrix.NewDense(ni, points.Cols())
-	for i, idx := range indices {
-		copy(bucketPts.Row(i), points.Row(idx))
+	bucketPts := matrix.NewDense(ni, pts.Cols())
+	for i, r := range rows {
+		copy(bucketPts.Row(i), pts.Row(r))
 	}
-	km, kerr := kmeans.Run(bucketPts, kmeans.Config{K: ki, Seed: cfg.Seed})
+	km, kerr := kmeans.Run(bucketPts, kmeans.Config{K: ki, Seed: c.Seed})
 	if kerr != nil {
 		return BucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)
 	}
@@ -476,4 +476,13 @@ func clusterOneBucket(points *matrix.Dense, indices []int, cfg Config, n int, kf
 		Solver: SolverKMeansFallback, NNZ: stats.NNZ, Fill: stats.Fill,
 		SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
 	}, nil
+}
+
+// iota returns 0..n-1.
+func iota(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

@@ -18,7 +18,7 @@ func embedTestConfig() Config {
 
 // TestEmbeddedAllDriversIdenticalLabels extends the cross-driver
 // identity contract to embed mode: the local pool, the incremental
-// waves, the closure MapReduce runner, and the shipped runner (which
+// waves, and the shipped runner (which
 // embeds map-side and ships d′-dim records instead of raw vectors) must
 // produce bitwise identical labels and bucket reports, with the
 // embedded solver actually engaged.
@@ -41,10 +41,6 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "embed-ident")
-	if err != nil {
-		t.Fatal(err)
-	}
 	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +48,6 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
 		"shipped":     shipped,
 	}
 	for name, res := range others {
@@ -74,13 +69,10 @@ func TestEmbeddedAllDriversIdenticalLabels(t *testing.T) {
 		}
 	}
 
-	// Only the shipped runner moves embedded records over the wire, so
-	// only it meters the embed data plane.
+	// The shipped runner moves embedded records over the wire, so it
+	// meters the embed data plane.
 	if shipped.MapReduce == nil || shipped.MapReduce.EmbedBytes == 0 {
 		t.Fatalf("shipped embed counters not metered: %+v", shipped.MapReduce)
-	}
-	if mr.MapReduce.EmbedBytes != 0 {
-		t.Fatalf("closure runner metered embed bytes: %+v", mr.MapReduce)
 	}
 }
 

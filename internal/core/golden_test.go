@@ -25,7 +25,7 @@ func blocks60(vals ...int) []int {
 }
 
 // TestGoldenLabelsDegenerateDial pins the degenerate ensemble against
-// the pre-refactor labels on all four drivers: corpus A (the
+// the pre-refactor labels on the in-memory drivers: corpus A (the
 // cross-driver dataset) must reproduce goldenA everywhere, and corpus B
 // (the sparse-engine determinism dataset) must reproduce goldenB.
 func TestGoldenLabelsDegenerateDial(t *testing.T) {
@@ -64,11 +64,6 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("incremental", inc.Labels, goldenA)
-	mr, err := ClusterMapReduce(a.Points, cfgA, &mapreduce.Local{}, "golden-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("mapreduce", mr.Labels, goldenA)
 	shipped, err := ClusterMapReduceShipped(a.Points, cfgA, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +83,7 @@ func TestGoldenLabelsDegenerateDial(t *testing.T) {
 
 // TestAllDriversEnsembleIdenticalLabels extends the cross-driver
 // identity guarantee to a non-degenerate dial: with two tables and one
-// probe flip, all four drivers must still agree exactly — the ensemble
+// probe flip, the in-memory drivers must still agree exactly — the ensemble
 // merge runs on the driver, so backend choice cannot change the
 // partition.
 func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
@@ -103,10 +98,6 @@ func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "ensemble-ident")
-	if err != nil {
-		t.Fatal(err)
-	}
 	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +105,6 @@ func TestAllDriversEnsembleIdenticalLabels(t *testing.T) {
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
 		"shipped":     shipped,
 	}
 	for name, res := range others {

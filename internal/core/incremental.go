@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/embed"
-	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/matrix"
 )
@@ -45,7 +44,7 @@ func ClusterIncrementalContext(ctx context.Context, points *matrix.Dense, cfg Co
 		return nil, fmt.Errorf("core: memory budget %d must be positive", budgetBytes)
 	}
 	r := &incrementalRunner{budget: budgetBytes}
-	res, err := RunPipeline(ctx, points, cfg, r)
+	res, err := RunPipeline(ctx, denseRows{points}, cfg, r)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +72,7 @@ func (*incrementalRunner) Signatures(ctx context.Context, p *Plan) (*lsh.Signatu
 }
 
 func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	n := p.Points.Rows()
+	n := p.N
 	// Waves are packed against the dense worst case; a sparse solve only
 	// shrinks what is actually resident, so the budget still holds.
 	// Buckets the embed policy will claim are packed at their embedded
@@ -115,15 +114,8 @@ func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partit
 	}
 	r.waves = len(waves)
 
-	// The planned per-bucket cluster counts double as a consistency
-	// check: a bucket must produce exactly its proportional share.
-	kOf := make([]int, len(part.Buckets))
-	for bi, b := range part.Buckets {
-		kOf[bi] = BucketK(p.Cfg.K, len(b.Indices), n)
-	}
-
 	sols := make([]BucketSolution, len(part.Buckets))
-	kf := kernel.NewGaussian(p.Sigma)
+	c := p.clusterConf()
 	var scratch []float64 // one sub-Gram buffer reused across the whole sweep
 	for w, wave := range waves {
 		if waveLoad[w] > r.peak {
@@ -134,13 +126,9 @@ func (r *incrementalRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partit
 				return nil, fmt.Errorf("core: incremental: %w", err)
 			}
 			b := part.Buckets[bi]
-			sol, err := clusterOneBucket(p.Points, b.Indices, p.Cfg, n, kf, p.Embedder, &scratch)
+			sol, err := clusterOneBucket(p.Points, b.Indices, b.Indices, c, p.Embedder, &scratch)
 			if err != nil {
 				return nil, fmt.Errorf("core: bucket %x: %w", b.Signature, err)
-			}
-			if sol.K != kOf[bi] {
-				return nil, fmt.Errorf("core: bucket %x produced %d clusters, planned %d",
-					b.Signature, sol.K, kOf[bi])
 			}
 			sols[bi] = sol
 		}

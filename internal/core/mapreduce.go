@@ -1,98 +1,210 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"strconv"
 
-	"repro/internal/embed"
-	"repro/internal/kernel"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
-	"repro/internal/matrix"
 )
 
-// ClusterMapReduce runs DASC as the paper's two MapReduce stages (§3.3)
-// on the given executor:
+// This file is DASC's one MapReduce formulation (§3.3), shared by the
+// shipped and sharded drivers:
 //
-//	stage 1 (Algorithm 1): map each (index, vector) record to a
-//	  (signature, index) pair; the grouped reduce output is the raw
-//	  signature partition,
+//	stage 1 (Algorithm 1): map each input record to one
+//	  (table:signature, index) pair per ensemble table; the grouped
+//	  reduce output is the raw per-table signature partition,
 //	stage 2 (Algorithm 2): after the driver merges near-duplicate
-//	  signatures, each reducer computes its bucket's sub-similarity
-//	  matrix and runs spectral clustering, emitting per-point labels.
+//	  signatures, each reducer solves one bucket with clusterOneBucket
+//	  and emits a (bucketSig, point/label/k) record per point plus one
+//	  solver-stats record.
 //
-// The jobs are registered under names derived from jobPrefix so that
-// TCP workers in the same process can execute them (the points matrix
-// travels by closure, standing in for HDFS-distributed input splits).
-func ClusterMapReduce(points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
-	return ClusterMapReduceContext(context.Background(), points, cfg, exec, jobPrefix)
+// The jobs carry no pointers into the driver's memory: hash parameters
+// and the solve configuration travel as the job Conf (Hadoop's JobConf
+// analogue), and the rows travel in the records or are read from shards
+// by the workers. The factories are registered at package init, so any
+// process that imports this package (e.g. cmd/dascworker) can serve the
+// jobs, and the same jobs run on mapreduce.Local and over TCP.
+
+// lshTable is one ensemble table's fitted hash parameters.
+type lshTable struct {
+	Dims       []int
+	Thresholds []float64
 }
 
-// ClusterMapReduceContext is ClusterMapReduce with cancellation: the
-// context is threaded into the executor, so executors implementing
-// mapreduce.ContextExecutor (Local and the TCP Master) abort in-flight
-// map and reduce work cooperatively.
-func ClusterMapReduceContext(ctx context.Context, points *matrix.Dense, cfg Config, exec mapreduce.Executor, jobPrefix string) (*Result, error) {
-	return RunPipeline(ctx, points, cfg, &mapReduceRunner{exec: exec, prefix: jobPrefix})
+// tablesConf extracts every fitted hasher's wire parameters.
+func tablesConf(hashers []*lsh.Hasher) []lshTable {
+	out := make([]lshTable, len(hashers))
+	for t, h := range hashers {
+		out[t] = lshTable{Dims: h.Dimensions(), Thresholds: h.Thresholds()}
+	}
+	return out
 }
 
-// mapReduceRunner is the closure-carrying MapReduce backend: jobs
-// capture the points matrix, so executor workers must share the
-// driver's address space (goroutine TCP workers or the Local pool).
-type mapReduceRunner struct {
-	exec   mapreduce.Executor
-	prefix string
-	ctr    mapreduce.Counters
+// validateTables rejects a stage-1 conf without tables or with a table
+// whose dimension and threshold lists disagree.
+func validateTables(tables []lshTable) error {
+	if len(tables) == 0 {
+		return fmt.Errorf("core: lsh conf has no tables")
+	}
+	for t, tab := range tables {
+		if len(tab.Dims) != len(tab.Thresholds) || len(tab.Dims) == 0 {
+			return fmt.Errorf("core: lsh conf table %d has %d dims, %d thresholds",
+				t, len(tab.Dims), len(tab.Thresholds))
+		}
+	}
+	return nil
 }
 
-func (*mapReduceRunner) Name() string      { return "mapreduce" }
-func (*mapReduceRunner) NeedsHasher() bool { return true }
+// hashRow is the stage-1 mapper body of both drivers: hash one row with
+// every table's shipped thresholds and emit one (table:signature,
+// index) record per table.
+func hashRow(tables []lshTable, idx int, row []float64, emit mapreduce.Emit) error {
+	buf := make([]byte, 4)
+	binary.LittleEndian.PutUint32(buf, uint32(idx))
+	for t, tab := range tables {
+		var sig uint64
+		for i, dim := range tab.Dims {
+			if dim < 0 || dim >= len(row) {
+				return fmt.Errorf("hash dimension %d outside vector of %d", dim, len(row))
+			}
+			if row[dim] > tab.Thresholds[i] {
+				sig |= 1 << uint(i)
+			}
+		}
+		emit(encodeSigKey(t, sig), buf)
+	}
+	return nil
+}
+
+// clusterConf is the stage-2 configuration: everything clusterOneBucket
+// needs besides the rows. SparseCutoff and Epsilon carry the driver's
+// solve-engine policy to remote workers; zero values reproduce the
+// dense path exactly. EmbedDim and EmbedCutoff carry the embed policy.
+type clusterConf struct {
+	N            int
+	K            int
+	Sigma        float64
+	Seed         int64
+	SparseCutoff int
+	Epsilon      float64
+	EmbedDim     int
+	EmbedCutoff  int
+}
+
+func (c clusterConf) validate() error {
+	if c.N < 1 || c.K < 1 || c.Sigma <= 0 || c.EmbedDim < 0 ||
+		(c.EmbedDim > 0 && c.EmbedCutoff < 1) {
+		return fmt.Errorf("core: cluster conf %+v invalid", c)
+	}
+	return nil
+}
+
+func gobEncode(v interface{}) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func gobDecode(data []byte, v interface{}) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// passThrough is the identity map or reduce of both stages: stage 1's
+// shuffle does the grouping, and stage 2's buckets are already formed.
+func passThrough(key string, value []byte, emit mapreduce.Emit) error {
+	emit(key, value)
+	return nil
+}
+
+func passThroughReduce(key string, values [][]byte, emit mapreduce.Emit) error {
+	for _, v := range values {
+		emit(key, v)
+	}
+	return nil
+}
+
+// emitSolution writes one solved bucket as stage-2 output: a label
+// record per point, then the bucket's stats record.
+func emitSolution(key string, indices []int, sol BucketSolution, emit mapreduce.Emit) {
+	for pos, idx := range indices {
+		emit(key, encodeLabel(idx, sol.Labels[pos], sol.K))
+	}
+	emit(key, encodeBucketStats(sol))
+}
+
+// mrRunner is what the shipped and sharded runners share: the executor
+// and the counters accumulated across both stages.
+type mrRunner struct {
+	exec mapreduce.Executor
+	ctr  mapreduce.Counters
+}
+
+func (*mrRunner) NeedsHasher() bool { return true }
 
 // MapReduceCounters reports the counters accumulated across both
 // stages; RunPipeline copies them onto the Result.
-func (r *mapReduceRunner) MapReduceCounters() *mapreduce.Counters { return &r.ctr }
+func (r *mrRunner) MapReduceCounters() *mapreduce.Counters { return &r.ctr }
 
-func (r *mapReduceRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
-	n := p.Points.Rows()
-	hashers, err := p.Hashers()
+// run executes one factory-registered stage: the conf is encoded and
+// the job built exactly as a worker process will build it, then run on
+// the executor with the plan's spill budget and compression setting.
+func (r *mrRunner) run(ctx context.Context, p *Plan, stage, name string, factory mapreduce.JobFactory, conf interface{}, input []mapreduce.Pair) ([]mapreduce.Pair, error) {
+	blob, err := gobEncode(conf)
 	if err != nil {
 		return nil, err
 	}
-	lshJob := LSHJob(r.prefix, p.Points, hashers)
-	lshJob.SpillBytes = p.Cfg.SpillBytes
-	lshJob.Compress = p.Cfg.Compression
-	input := make([]mapreduce.Pair, n)
-	for i := 0; i < n; i++ {
-		input[i] = mapreduce.Pair{Key: strconv.Itoa(i)}
-	}
-	sigPairs, ctr, err := mapreduce.RunWithContext(ctx, r.exec, lshJob, input)
+	job, err := factory(blob)
 	if err != nil {
-		return nil, fmt.Errorf("core: lsh stage: %w", err)
+		return nil, err
+	}
+	job.Name = name
+	job.Conf = blob
+	job.SpillBytes = p.Cfg.SpillBytes
+	job.Compress = p.Cfg.Compression
+	out, ctr, err := mapreduce.RunWithContext(ctx, r.exec, job, input)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s stage: %w", stage, err)
 	}
 	r.ctr.Add(ctr)
-	return signaturesFromPairs(sigPairs, n, len(hashers))
+	return out, nil
 }
 
-func (r *mapReduceRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
-	clusterJob := ClusterJob(r.prefix, p.Points, p.Cfg, p.Sigma, p.Embedder)
-	clusterJob.SpillBytes = p.Cfg.SpillBytes
-	clusterJob.Compress = p.Cfg.Compression
-	stage2Input := make([]mapreduce.Pair, len(part.Buckets))
-	for bi, b := range part.Buckets {
-		stage2Input[bi] = mapreduce.Pair{
-			Key:   fmt.Sprintf("%016x", b.Signature),
-			Value: encodeIndicesConf(b.Indices, p.Cfg.Compression),
-		}
-	}
-	labelPairs, ctr, err := mapreduce.RunWithContext(ctx, r.exec, clusterJob, stage2Input)
+// signatures runs stage 1 over the given input records and reassembles
+// the signature set.
+func (r *mrRunner) signatures(ctx context.Context, p *Plan, name string, factory mapreduce.JobFactory, conf interface{}, input []mapreduce.Pair) (*lsh.SignatureSet, error) {
+	pairs, err := r.run(ctx, p, "lsh", name, factory, conf, input)
 	if err != nil {
-		return nil, fmt.Errorf("core: cluster stage: %w", err)
+		return nil, err
 	}
-	r.ctr.Add(ctr)
-	return solutionsFromLabelPairs(part, labelPairs, p.Points.Rows(), p.Cfg.Compression)
+	return signaturesFromPairs(pairs, p.N, p.Ensemble.Tables())
+}
+
+// solve runs stage 2 over one input record per bucket, keyed by the
+// bucket signature, and turns the output back into solutions.
+func (r *mrRunner) solve(ctx context.Context, p *Plan, part *lsh.Partition, name string, factory mapreduce.JobFactory, conf interface{}, values [][]byte) ([]BucketSolution, error) {
+	input := make([]mapreduce.Pair, len(part.Buckets))
+	for bi, b := range part.Buckets {
+		input[bi] = mapreduce.Pair{Key: bucketKey(b.Signature), Value: values[bi]}
+	}
+	pairs, err := r.run(ctx, p, "cluster", name, factory, conf, input)
+	if err != nil {
+		return nil, err
+	}
+	return solutionsFromLabelPairs(part, pairs, p.N)
+}
+
+// bucketKey is a stage-2 record key: the bucket signature in
+// fixed-width hex.
+func bucketKey(sig uint64) string {
+	return fmt.Sprintf("%016x", sig)
 }
 
 // encodeSigKey formats a stage-1 record key as "<table>:<signature>"
@@ -119,9 +231,12 @@ func decodeSigKey(key string) (table int, sig uint64, err error) {
 }
 
 // signaturesFromPairs reassembles the per-point per-table signature set
-// from stage-1 output records, shared by both MapReduce runners.
+// from stage-1 output records. Every (table, point) must have exactly
+// one record: a missing one would silently hash the point to signature
+// 0, so it is an error, as is a duplicate.
 func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.SignatureSet, error) {
 	sigs := lsh.NewSignatureSet(tables, n)
+	seen := make([]bool, tables*n)
 	for _, p := range sigPairs {
 		t, sig, err := decodeSigKey(p.Key)
 		if err != nil {
@@ -130,46 +245,54 @@ func signaturesFromPairs(sigPairs []mapreduce.Pair, n, tables int) (*lsh.Signatu
 		if t >= tables {
 			return nil, fmt.Errorf("core: table %d out of range (have %d)", t, tables)
 		}
+		if len(p.Value) != 4 {
+			return nil, fmt.Errorf("core: signature record payload length %d", len(p.Value))
+		}
 		idx := int(binary.LittleEndian.Uint32(p.Value))
-		if idx < 0 || idx >= n {
+		if idx >= n {
 			return nil, fmt.Errorf("core: index %d out of range", idx)
 		}
+		if seen[t*n+idx] {
+			return nil, fmt.Errorf("core: duplicate signature record for point %d in table %d", idx, t)
+		}
+		seen[t*n+idx] = true
 		sigs.Tables[t][idx] = sig
+	}
+	for i, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("core: no signature record for point %d in table %d", i%n, i/n)
+		}
 	}
 	return sigs, nil
 }
 
 // solutionsFromLabelPairs converts stage-2 output records back into
-// per-bucket solutions aligned with the partition — the inverse of the
-// reducers' emission, shared by both MapReduce runners. Two record
-// kinds share the stream, both keyed by the bucket signature: 12-byte
-// per-point (pointIndex, localLabel, k) triples and the per-bucket
-// solver stats records. In legacy mode (packed false) stats are the
-// fixed 32-byte-plus-solver layout and the kinds are length-
-// distinguished; in packed mode stats carry the 'S' marker and are at
-// least 13 bytes by construction, so a 12-byte record is always a
-// label. The shared assembly path then offsets the solutions exactly
-// like every other runner's.
-func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int, packed bool) ([]BucketSolution, error) {
+// per-bucket solutions aligned with the partition — the inverse of
+// emitSolution. Two record kinds share the stream, both keyed by the
+// bucket signature: 12-byte per-point (pointIndex, localLabel, k)
+// triples and the per-bucket stats records, which are at least 13
+// bytes. Every point needs exactly one label record and every bucket
+// exactly one stats record, and a bucket's records must agree on k;
+// assembleSolutions then checks k against the plan and the labels
+// against k.
+func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int) ([]BucketSolution, error) {
 	type slot struct{ bucket, pos int }
 	where := make(map[int]slot, n)
 	sigOf := make(map[uint64]int, len(part.Buckets))
 	sols := make([]BucketSolution, len(part.Buckets))
+	labeled := make([][]bool, len(part.Buckets))
+	hasStats := make([]bool, len(part.Buckets))
 	for bi, b := range part.Buckets {
 		sols[bi].Labels = make([]int, len(b.Indices))
+		sols[bi].K = -1
+		labeled[bi] = make([]bool, len(b.Indices))
 		sigOf[b.Signature] = bi
 		for pi, idx := range b.Indices {
 			where[idx] = slot{bi, pi}
 		}
 	}
-	isStats := func(v []byte) bool {
-		if packed {
-			return len(v) != 12 && len(v) > 0 && v[0] == packedStatsKind
-		}
-		return len(v) >= bucketStatsLen
-	}
 	for _, p := range pairs {
-		if isStats(p.Value) {
+		if len(p.Value) != 12 {
 			sig, err := strconv.ParseUint(p.Key, 16, 64)
 			if err != nil {
 				return nil, fmt.Errorf("core: bad stats key %q: %w", p.Key, err)
@@ -178,73 +301,56 @@ func solutionsFromLabelPairs(part *lsh.Partition, pairs []mapreduce.Pair, n int,
 			if !ok {
 				return nil, fmt.Errorf("core: stats for unknown bucket %x", sig)
 			}
-			if packed {
-				if err := decodePackedBucketStats(p.Value, &sols[bi]); err != nil {
-					return nil, err
-				}
-			} else {
-				decodeBucketStats(p.Value, &sols[bi])
+			if hasStats[bi] {
+				return nil, fmt.Errorf("core: duplicate stats record for bucket %x", sig)
+			}
+			hasStats[bi] = true
+			if err := decodeBucketStats(p.Value, &sols[bi]); err != nil {
+				return nil, fmt.Errorf("core: bucket %x: %w", sig, err)
 			}
 			continue
-		}
-		if len(p.Value) != 12 {
-			return nil, fmt.Errorf("core: label payload length %d", len(p.Value))
 		}
 		idx, local, k := decodeLabel(p.Value)
 		s, ok := where[idx]
 		if !ok {
 			return nil, fmt.Errorf("core: label for out-of-range point %d", idx)
 		}
+		sig := part.Buckets[s.bucket].Signature
+		if labeled[s.bucket][s.pos] {
+			return nil, fmt.Errorf("core: bucket %x: duplicate label record for point %d", sig, idx)
+		}
+		if sols[s.bucket].K >= 0 && sols[s.bucket].K != k {
+			return nil, fmt.Errorf("core: bucket %x: label records disagree on k (%d vs %d)", sig, sols[s.bucket].K, k)
+		}
+		labeled[s.bucket][s.pos] = true
 		sols[s.bucket].Labels[s.pos] = local
 		sols[s.bucket].K = k
+	}
+	for bi, b := range part.Buckets {
+		for pos, ok := range labeled[bi] {
+			if !ok {
+				return nil, fmt.Errorf("core: bucket %x: no label record for point %d", b.Signature, b.Indices[pos])
+			}
+		}
+		if !hasStats[bi] {
+			return nil, fmt.Errorf("core: bucket %x: no stats record", b.Signature)
+		}
 	}
 	return sols, nil
 }
 
-// bucketStatsLen is the fixed prefix of a stats record: NNZ, Fill bits,
-// SolveNanos, GramBytes as little-endian uint64s, followed by the
-// solver name. Always longer than the 12-byte label records, so record
-// kinds are length-distinguished.
-const bucketStatsLen = 32
+// bucketStatsKind opens a stats record: 'S', a zero version byte,
+// uvarint NNZ, 8-byte LE Fill bits, uvarint SolveNanos, uvarint
+// GramBytes, then the solver name. The two fixed leading bytes plus
+// the 8-byte float keep every stats record at least 13 bytes, so it can
+// never be taken for a 12-byte label.
+const bucketStatsKind = 'S'
 
 // encodeBucketStats packs a solution's solver accounting into one
 // stage-2 output record.
 func encodeBucketStats(s BucketSolution) []byte {
-	buf := make([]byte, bucketStatsLen+len(s.Solver))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(s.NNZ))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(s.Fill))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(s.SolveNanos))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(s.GramBytes))
-	copy(buf[bucketStatsLen:], s.Solver)
-	return buf
-}
-
-// decodeBucketStats unpacks a stats record into the solution's
-// accounting fields, leaving Labels and K untouched.
-func decodeBucketStats(buf []byte, s *BucketSolution) {
-	s.NNZ = int64(binary.LittleEndian.Uint64(buf[0:]))
-	s.Fill = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-	s.SolveNanos = int64(binary.LittleEndian.Uint64(buf[16:]))
-	s.GramBytes = int64(binary.LittleEndian.Uint64(buf[24:]))
-	s.Solver = string(buf[bucketStatsLen:])
-}
-
-// packedStatsKind opens a compact stats record in Compression mode:
-// 'S', a zero version byte, uvarint NNZ, 8-byte LE Fill bits, uvarint
-// SolveNanos, uvarint GramBytes, then the solver name. The two fixed
-// leading bytes plus the 8-byte float keep every packed stats record
-// at least 13 bytes, so it can never collide with a 12-byte label.
-const packedStatsKind = 'S'
-
-// encodeBucketStatsConf packs a solution's solver accounting in the
-// legacy fixed layout, or the compact varint layout when the job runs
-// with Config.Compression.
-func encodeBucketStatsConf(s BucketSolution, packed bool) []byte {
-	if !packed {
-		return encodeBucketStats(s)
-	}
 	buf := make([]byte, 0, 2+3*binary.MaxVarintLen64+8+len(s.Solver))
-	buf = append(buf, packedStatsKind, 0)
+	buf = append(buf, bucketStatsKind, 0)
 	buf = binary.AppendUvarint(buf, uint64(s.NNZ))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Fill))
 	buf = binary.AppendUvarint(buf, uint64(s.SolveNanos))
@@ -252,28 +358,28 @@ func encodeBucketStatsConf(s BucketSolution, packed bool) []byte {
 	return append(buf, s.Solver...)
 }
 
-// decodePackedBucketStats is the inverse of the packed arm of
-// encodeBucketStatsConf.
-func decodePackedBucketStats(buf []byte, s *BucketSolution) error {
-	if len(buf) < 2 || buf[0] != packedStatsKind || buf[1] != 0 {
-		return fmt.Errorf("core: bad packed stats record")
+// decodeBucketStats unpacks a stats record into the solution's
+// accounting fields, leaving Labels and K untouched.
+func decodeBucketStats(buf []byte, s *BucketSolution) error {
+	if len(buf) < 2 || buf[0] != bucketStatsKind || buf[1] != 0 {
+		return fmt.Errorf("core: bad stats record")
 	}
 	rest := buf[2:]
 	nnz, n := binary.Uvarint(rest)
 	if n <= 0 || len(rest[n:]) < 8 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	rest = rest[n:]
 	fill := math.Float64frombits(binary.LittleEndian.Uint64(rest))
 	rest = rest[8:]
 	nanos, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	rest = rest[n:]
 	gram, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return fmt.Errorf("core: truncated packed stats record")
+		return fmt.Errorf("core: truncated stats record")
 	}
 	s.NNZ = int64(nnz)
 	s.Fill = fill
@@ -283,118 +389,11 @@ func decodePackedBucketStats(buf []byte, s *BucketSolution) error {
 	return nil
 }
 
-// LSHJob builds the stage-1 MapReduce job (Algorithm 1, extended to the
-// multi-table ensemble): the mapper hashes its input vector once per
-// table and emits one (table:signature, index) record per table; the
-// reducer passes records through, so the executor's shuffle performs
-// the per-table signature grouping.
-func LSHJob(prefix string, points *matrix.Dense, hashers []*lsh.Hasher) *mapreduce.Job {
-	job := &mapreduce.Job{
-		Name:        prefix + "/lsh",
-		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			idx, err := strconv.Atoi(key)
-			if err != nil {
-				return fmt.Errorf("bad point index %q: %w", key, err)
-			}
-			if idx < 0 || idx >= points.Rows() {
-				return fmt.Errorf("point index %d out of range", idx)
-			}
-			row := points.Row(idx)
-			var buf [4]byte
-			binary.LittleEndian.PutUint32(buf[:], uint32(idx))
-			for t, h := range hashers {
-				emit(encodeSigKey(t, h.Signature(row)), buf[:])
-			}
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
-	}
-	mapreduce.Register(job)
-	return job
-}
-
-// ClusterJob builds the stage-2 MapReduce job (Algorithm 2): each
-// reduce key is one merged bucket; the reducer computes the bucket's
-// sub-similarity matrix and runs spectral clustering — or, with embed
-// mode on, embeds the bucket rows and runs k-means — emitting one
-// (bucketSig, point/label/k) record per point. This closure runner
-// shares the driver's memory, so only indices travel through the
-// shuffle either way; the shipped runner is where map-side embedding
-// shrinks the wire payloads.
-func ClusterJob(prefix string, points *matrix.Dense, cfg Config, sigma float64, emb embed.Embedder) *mapreduce.Job {
-	n := points.Rows()
-	kf := kernel.NewGaussian(sigma)
-	job := &mapreduce.Job{
-		Name:        prefix + "/cluster",
-		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			emit(key, value) // identity: buckets are already formed
-			return nil
-		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			// Reducers may run concurrently, so the sub-Gram scratch is
-			// per-invocation; it is still reused across this key's values.
-			var scratch []float64
-			for _, v := range values {
-				indices, err := decodeIndicesConf(v, cfg.Compression)
-				if err != nil {
-					return err
-				}
-				sol, err := clusterOneBucket(points, indices, cfg, n, kf, emb, &scratch)
-				if err != nil {
-					return err
-				}
-				for pi, idx := range indices {
-					emit(key, encodeLabel(idx, sol.Labels[pi], sol.K))
-				}
-				emit(key, encodeBucketStatsConf(sol, cfg.Compression))
-			}
-			return nil
-		},
-	}
-	mapreduce.Register(job)
-	return job
-}
-
-// encodeIndices packs point indices as little-endian uint32s.
-func encodeIndices(indices []int) []byte {
-	buf := make([]byte, 4*len(indices))
-	for i, idx := range indices {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(idx))
-	}
-	return buf
-}
-
-func decodeIndices(buf []byte) ([]int, error) {
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("core: index payload length %d", len(buf))
-	}
-	out := make([]int, len(buf)/4)
-	for i := range out {
-		v := binary.LittleEndian.Uint32(buf[i*4:])
-		if v > math.MaxInt32 {
-			return nil, fmt.Errorf("core: index %d overflows", v)
-		}
-		out[i] = int(v)
-	}
-	return out, nil
-}
-
-// encodeIndicesConf packs a bucket index list in the legacy 4-byte-LE
-// layout, or — when the job runs with Config.Compression — as a
-// uvarint count followed by zigzag-varint deltas. Bucket index lists
-// are sorted ascending, so the deltas are small positive integers and
-// the record shrinks toward one byte per point.
-func encodeIndicesConf(indices []int, packed bool) []byte {
-	if !packed {
-		return encodeIndices(indices)
-	}
+// packIndices encodes a bucket index list as a uvarint count followed
+// by zigzag-varint deltas. Bucket index lists are sorted ascending, so
+// the deltas are small positive integers and the record shrinks toward
+// one byte per point.
+func packIndices(indices []int) []byte {
 	buf := binary.AppendUvarint(make([]byte, 0, 1+2*len(indices)), uint64(len(indices)))
 	prev := 0
 	for _, idx := range indices {
@@ -404,38 +403,35 @@ func encodeIndicesConf(indices []int, packed bool) []byte {
 	return buf
 }
 
-// decodeIndicesConf is the inverse of encodeIndicesConf. Every decoded
-// index must fit int32 and be non-negative, mirroring decodeIndices.
-func decodeIndicesConf(buf []byte, packed bool) ([]int, error) {
-	if !packed {
-		return decodeIndices(buf)
-	}
+// unpackIndices is the inverse of packIndices. Every decoded index must
+// be non-negative and fit int32.
+func unpackIndices(buf []byte) ([]int, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("core: bad packed index count")
+		return nil, fmt.Errorf("core: bad index count")
 	}
 	rest := buf[n:]
 	// Each delta occupies at least one byte, so the declared count bounds
 	// the allocation before it happens.
 	if count > uint64(len(rest)) {
-		return nil, fmt.Errorf("core: packed index count %d exceeds payload %d", count, len(rest))
+		return nil, fmt.Errorf("core: index count %d exceeds payload %d", count, len(rest))
 	}
 	out := make([]int, count)
 	prev := int64(0)
 	for i := range out {
 		d, n := binary.Varint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("core: truncated packed index list")
+			return nil, fmt.Errorf("core: truncated index list")
 		}
 		rest = rest[n:]
 		prev += d
 		if prev < 0 || prev > math.MaxInt32 {
-			return nil, fmt.Errorf("core: packed index %d out of range", prev)
+			return nil, fmt.Errorf("core: index %d out of range", prev)
 		}
 		out[i] = int(prev)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after packed index list", len(rest))
+		return nil, fmt.Errorf("core: %d trailing bytes after index list", len(rest))
 	}
 	return out, nil
 }

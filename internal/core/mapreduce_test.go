@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/metrics"
@@ -19,7 +22,7 @@ func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMR, err := ClusterMapReduce(l.Points, Config{K: 3, Seed: 21}, &mapreduce.Local{}, "test-eq")
+	viaMR, err := ClusterMapReduceShipped(l.Points, Config{K: 3, Seed: 21}, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestClusterMapReduceMatchesLocalDriver(t *testing.T) {
 
 func TestClusterMapReduceAccuracy(t *testing.T) {
 	l := mixture(t, 160, 16, 4, 0.02, 22)
-	res, err := ClusterMapReduce(l.Points, Config{K: 4, Seed: 23}, &mapreduce.Local{Workers: 4}, "test-acc")
+	res, err := ClusterMapReduceShipped(l.Points, Config{K: 4, Seed: 23}, &mapreduce.Local{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +59,9 @@ func TestClusterMapReduceAccuracy(t *testing.T) {
 
 func TestClusterMapReduceOverTCP(t *testing.T) {
 	l := mixture(t, 100, 8, 2, 0.03, 24)
-	// The job constructors inside ClusterMapReduce register the jobs by
-	// name, and the in-process TCP workers share that registry — the
+	// The jobs are factory-registered at package init, so the
+	// in-process TCP workers rebuild them from the shipped conf — the
 	// same way Hadoop workers share the job jar.
-	prefix := "test-tcp"
 	m, err := mapreduce.NewMaster("127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +85,7 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	res, err := ClusterMapReduce(l.Points, Config{K: 2, Seed: 25}, m, prefix)
+	res, err := ClusterMapReduceShipped(l.Points, Config{K: 2, Seed: 25}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +111,23 @@ func TestClusterMapReduceOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIndexCodecRoundTrip pins the stage-2 index record's exact round
+// trip, sorted and unsorted.
 func TestIndexCodecRoundTrip(t *testing.T) {
-	in := []int{0, 1, 42, 1 << 20}
-	out, err := decodeIndices(encodeIndices(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(in) != fmt.Sprint(out) {
-		t.Fatalf("round trip: %v -> %v", in, out)
-	}
-	if _, err := decodeIndices([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for misaligned payload")
+	for _, in := range [][]int{
+		nil,
+		{0},
+		{5, 6, 7, 8},
+		{100000, 3, 99, 2_000_000_000},
+		{7, 7, 7},
+	} {
+		out, err := unpackIndices(packIndices(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(in) != fmt.Sprint(out) {
+			t.Fatalf("round trip: %v -> %v", in, out)
+		}
 	}
 }
 
@@ -127,5 +135,91 @@ func TestLabelCodecRoundTrip(t *testing.T) {
 	idx, label, k := decodeLabel(encodeLabel(7, 3, 11))
 	if idx != 7 || label != 3 || k != 11 {
 		t.Fatalf("round trip: %d %d %d", idx, label, k)
+	}
+}
+
+// TestStageOutputsMustCoverEveryPoint feeds malformed stage outputs to
+// the driver-side reassembly: a missing, duplicate or inconsistent
+// record must be an error naming the bucket or point, never a silent
+// label 0, signature 0 or out-of-range cluster id.
+func TestStageOutputsMustCoverEveryPoint(t *testing.T) {
+	// Three points in two buckets with K=3: bucket 1 plans 2 clusters,
+	// bucket 2 plans 1.
+	part := &lsh.Partition{Buckets: []lsh.Bucket{
+		{Signature: 1, Indices: []int{0, 2}},
+		{Signature: 2, Indices: []int{1}},
+	}}
+	const n, k = 3, 3
+	label := func(sig uint64, idx, local, k int) mapreduce.Pair {
+		return mapreduce.Pair{Key: bucketKey(sig), Value: encodeLabel(idx, local, k)}
+	}
+	stats := func(sig uint64) mapreduce.Pair {
+		return mapreduce.Pair{Key: bucketKey(sig), Value: encodeBucketStats(BucketSolution{Solver: SolverTrivial})}
+	}
+	good := []mapreduce.Pair{label(1, 0, 1, 2), label(1, 2, 0, 2), stats(1), label(2, 1, 0, 1), stats(2)}
+	without := func(i int) []mapreduce.Pair {
+		return append(append([]mapreduce.Pair(nil), good[:i]...), good[i+1:]...)
+	}
+	with := func(extra ...mapreduce.Pair) []mapreduce.Pair {
+		return append(append([]mapreduce.Pair(nil), good...), extra...)
+	}
+
+	labelCases := []struct {
+		name  string
+		pairs []mapreduce.Pair
+		want  string // error substring; "" means the output is well formed
+	}{
+		{"well formed", good, ""},
+		{"missing label", without(1), "no label record for point 2"},
+		{"duplicate label", with(label(1, 2, 1, 2)), "duplicate label record for point 2"},
+		{"label outside K", []mapreduce.Pair{label(1, 0, 1, 2), label(1, 2, 7, 2), stats(1), label(2, 1, 0, 1), stats(2)}, "local label 7"},
+		{"k disagrees", []mapreduce.Pair{label(1, 0, 1, 2), label(1, 2, 0, 3), stats(1), label(2, 1, 0, 1), stats(2)}, "disagree on k"},
+		{"k off plan", []mapreduce.Pair{label(1, 0, 1, 3), label(1, 2, 0, 3), stats(1), label(2, 1, 0, 1), stats(2)}, "planned 2"},
+		{"missing stats", without(4), "bucket 2: no stats record"},
+		{"duplicate stats", with(stats(1)), "duplicate stats record for bucket 1"},
+		{"unknown point", with(label(2, 9, 0, 1)), "point 9"},
+	}
+	for _, c := range labelCases {
+		sols, err := solutionsFromLabelPairs(part, c.pairs, n)
+		if err == nil {
+			var res *Result
+			res, err = assembleSolutions(part, sols, n, k)
+			if err == nil && c.want == "" && fmt.Sprint(res.Labels) != "[1 2 0]" {
+				t.Errorf("%s: labels %v, want [1 2 0]", c.name, res.Labels)
+			}
+		}
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+
+	sig := func(table, idx int) mapreduce.Pair {
+		v := make([]byte, 4)
+		binary.LittleEndian.PutUint32(v, uint32(idx))
+		return mapreduce.Pair{Key: encodeSigKey(table, 5), Value: v}
+	}
+	sigCases := []struct {
+		name  string
+		pairs []mapreduce.Pair
+		want  string
+	}{
+		{"well formed", []mapreduce.Pair{sig(0, 0), sig(0, 1), sig(0, 2), sig(1, 0), sig(1, 1), sig(1, 2)}, ""},
+		{"missing", []mapreduce.Pair{sig(0, 0), sig(0, 1), sig(0, 2), sig(1, 0), sig(1, 2)}, "point 1 in table 1"},
+		{"duplicate", []mapreduce.Pair{sig(0, 0), sig(0, 1), sig(0, 2), sig(0, 2), sig(1, 0), sig(1, 1), sig(1, 2)}, "duplicate signature record for point 2"},
+		{"short value", []mapreduce.Pair{{Key: encodeSigKey(0, 5), Value: []byte{1}}}, "payload length 1"},
+	}
+	for _, c := range sigCases {
+		_, err := signaturesFromPairs(c.pairs, n, 2)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("signatures %s: %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("signatures %s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -9,10 +9,12 @@ package core
 //	assembly    : offset per-bucket labels into one global labeling.
 //
 // The stages that admit different execution strategies (signature and
-// solve) are behind the Runner interface; bucket-merge and assembly are
-// pure driver-side functions shared by every runner, so the drivers
-// cannot drift apart. Runners receive a context.Context and must return
-// promptly with its error once it is cancelled.
+// solve) are behind the Runner interface; plan fitting, bucket-merge and
+// assembly are driver-side functions shared by every runner, so the
+// drivers cannot drift apart. The input rows come from a RowSource: the
+// in-memory matrix, or a shard directory the sharded driver never loads
+// whole. Runners receive a context.Context and must return promptly
+// with its error once it is cancelled.
 
 import (
 	"context"
@@ -26,12 +28,38 @@ import (
 	"repro/internal/matrix"
 )
 
+// RowSource is where a run's input rows live: the in-memory matrix of
+// Cluster and ClusterMapReduceShipped, or the shard reader of
+// ClusterMapReduceSharded. It is the lsh.PointSource the partition
+// stage probes, plus the rows the plan is fitted on. Only this package
+// implements it.
+type RowSource interface {
+	lsh.PointSource
+	// fitRows returns the rows the plan fits its hash thresholds and
+	// kernel bandwidth on: the whole matrix in memory, or fitSample
+	// evenly spaced rows read from shards.
+	fitRows(fitSample int) (*matrix.Dense, error)
+	// err reports the first row read that failed since the source was
+	// built; Row itself cannot return one.
+	err() error
+}
+
+// denseRows is the in-memory RowSource. The plan fits on every row, so
+// Config.FitSample is not consulted.
+type denseRows struct{ *matrix.Dense }
+
+func (d denseRows) fitRows(int) (*matrix.Dense, error) { return d.Dense, nil }
+func (denseRows) err() error                           { return nil }
+
 // Plan is the resolved execution plan shared by all pipeline stages:
 // the dataset, the defaulted configuration, the fitted hash ensemble,
 // the merge radius, and the kernel bandwidth.
 type Plan struct {
-	// Points is the dataset, one row per point.
+	// Points is the dataset, one row per point; nil when the rows live
+	// in a shard directory.
 	Points *matrix.Dense
+	// N is the number of input rows.
+	N int
 	// Cfg is the configuration with every default resolved (K, M,
 	// Tables, Workers filled in).
 	Cfg Config
@@ -91,7 +119,7 @@ type BucketSolution struct {
 
 // Runner executes the backend-specific pipeline stages. Implementations
 // exist for the in-process worker pool, the bounded-memory incremental
-// driver, and the two MapReduce formulations.
+// driver, and the shipped and sharded MapReduce drivers.
 type Runner interface {
 	// Name identifies the runner in errors.
 	Name() string
@@ -112,17 +140,29 @@ type Runner interface {
 // span/threshold hashers even when Config.Family is set (the behaviour
 // of the distributed drivers, whose jobs ship hash thresholds).
 func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) {
-	n := points.Rows()
-	cfg, radius, err := cfg.resolve(n)
+	return newPlan(denseRows{points}, cfg, needsHasher)
+}
+
+// newPlan is NewPlan over any row source: the hash ensemble and the
+// kernel bandwidth are fitted on the source's fit rows.
+func newPlan(src RowSource, cfg Config, needsHasher bool) (*Plan, error) {
+	cfg, radius, err := cfg.resolve(src.Rows())
 	if err != nil {
 		return nil, err
+	}
+	fit, err := src.fitRows(cfg.FitSample)
+	if err != nil {
+		return nil, fmt.Errorf("core: fit sample: %w", err)
 	}
 	ecfg := lsh.EnsembleConfig{
 		Tables:          cfg.Tables,
 		ProbeRadius:     cfg.ProbeRadius,
 		MaxMergedBucket: cfg.MaxMergedBucket,
 	}
-	p := &Plan{Points: points, Radius: radius}
+	p := &Plan{N: src.Rows(), Radius: radius}
+	if d, ok := src.(denseRows); ok {
+		p.Points = d.Dense
+	}
 	if cfg.Family != nil && !needsHasher {
 		ens, err := lsh.EnsembleFrom(cfg.Family, ecfg)
 		if err != nil {
@@ -133,7 +173,7 @@ func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) 
 		cfg.M = ens.Bits()
 		cfg.Tables = ens.Tables()
 	} else {
-		ens, err := lsh.FitEnsemble(points, lsh.Config{
+		ens, err := lsh.FitEnsemble(fit, lsh.Config{
 			M: cfg.M, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed,
 		}, ecfg)
 		if err != nil {
@@ -145,10 +185,10 @@ func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) 
 	}
 	p.Sigma = cfg.Sigma
 	if p.Sigma <= 0 {
-		p.Sigma = kernel.MedianSigma(points, 512, cfg.Seed)
+		p.Sigma = kernel.MedianSigma(fit, 512, cfg.Seed)
 	}
 	if cfg.EmbedDim > 0 {
-		emb, err := embed.NewRFF(points.Cols(), cfg.EmbedDim, p.Sigma, cfg.Seed)
+		emb, err := embed.NewRFF(fit.Cols(), cfg.EmbedDim, p.Sigma, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: embed: %w", err)
 		}
@@ -158,15 +198,27 @@ func NewPlan(points *matrix.Dense, cfg Config, needsHasher bool) (*Plan, error) 
 	return p, nil
 }
 
-// RunPipeline executes the canonical DASC dataflow on the given runner.
-// All four public drivers delegate here, so for a fixed seed they
-// produce identical labels regardless of the execution backend.
-func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner) (*Result, error) {
+// clusterConf is the per-bucket solve configuration the plan resolves:
+// what every runner's solve, local or remote, needs besides the rows.
+func (p *Plan) clusterConf() clusterConf {
+	return clusterConf{
+		N: p.N, K: p.Cfg.K, Sigma: p.Sigma, Seed: p.Cfg.Seed,
+		SparseCutoff: p.Cfg.SparseCutoff, Epsilon: p.Cfg.Epsilon,
+		EmbedDim: p.Cfg.EmbedDim, EmbedCutoff: p.Cfg.EmbedCutoff,
+	}
+}
+
+// RunPipeline executes the canonical DASC dataflow over src on the
+// given runner. All four public drivers delegate here, so for a fixed
+// seed they produce identical labels regardless of the execution
+// backend (the sharded driver when its plan fits on every row).
+func RunPipeline(ctx context.Context, src RowSource, cfg Config, r Runner) (*Result, error) {
 	start := time.Now()
-	p, err := NewPlan(points, cfg, r.NeedsHasher())
+	p, err := newPlan(src, cfg, r.NeedsHasher())
 	if err != nil {
 		return nil, err
 	}
+	n := p.N
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -176,9 +228,9 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	if err != nil {
 		return nil, err
 	}
-	if sigs.Len() != points.Rows() || sigs.NumTables() != p.Ensemble.Tables() {
+	if sigs.Len() != n || sigs.NumTables() != p.Ensemble.Tables() {
 		return nil, fmt.Errorf("core: %s produced %d signatures x %d tables for %d points x %d tables",
-			r.Name(), sigs.Len(), sigs.NumTables(), points.Rows(), p.Ensemble.Tables())
+			r.Name(), sigs.Len(), sigs.NumTables(), n, p.Ensemble.Tables())
 	}
 
 	// Stage 2: bucket-merge, always on the driver (the paper merges
@@ -186,9 +238,12 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	// merges within each table (Eq. 6), then across tables and probe
 	// hits; with Tables=1 and ProbeRadius=0 this is byte-identical to
 	// the single-signature partition.
-	part, err := p.Ensemble.Partition(p.Points, sigs, p.Radius)
+	part, err := p.Ensemble.Partition(src, sigs, p.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
+	}
+	if err := src.err(); err != nil {
+		return nil, fmt.Errorf("core: %s probe rows: %w", r.Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
@@ -201,7 +256,7 @@ func RunPipeline(ctx context.Context, points *matrix.Dense, cfg Config, r Runner
 	}
 
 	// Stage 4: global label assembly.
-	res, err := assembleSolutions(part, sols, points.Rows())
+	res, err := assembleSolutions(part, sols, n, p.Cfg.K)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", r.Name(), err)
 	}
@@ -223,8 +278,11 @@ type counterSource interface {
 // assembleSolutions is the single label-assembly path: cluster-id
 // offsets are assigned in partition order (ascending bucket signature),
 // so every runner yields the same global labeling for the same
-// per-bucket solutions.
-func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n int) (*Result, error) {
+// per-bucket solutions. Every solution must extract exactly its
+// bucket's planned share BucketK(k, size, n) of the clusters and label
+// every point within it, so a runner cannot hand back an inconsistent
+// labeling unnoticed.
+func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n, k int) (*Result, error) {
 	if len(sols) != len(part.Buckets) {
 		return nil, fmt.Errorf("%d solutions for %d buckets", len(sols), len(part.Buckets))
 	}
@@ -235,9 +293,15 @@ func assembleSolutions(part *lsh.Partition, sols []BucketSolution, n int) (*Resu
 		if len(s.Labels) != len(b.Indices) {
 			return nil, fmt.Errorf("bucket %x: %d labels for %d points", b.Signature, len(s.Labels), len(b.Indices))
 		}
+		if want := BucketK(k, len(b.Indices), n); s.K != want {
+			return nil, fmt.Errorf("bucket %x produced %d clusters, planned %d", b.Signature, s.K, want)
+		}
 		for pos, idx := range b.Indices {
 			if idx < 0 || idx >= n {
 				return nil, fmt.Errorf("bucket %x: point %d out of range", b.Signature, idx)
+			}
+			if l := s.Labels[pos]; l < 0 || l >= s.K {
+				return nil, fmt.Errorf("bucket %x: point %d has local label %d outside [0,%d)", b.Signature, idx, l, s.K)
 			}
 			res.Labels[idx] = offset + s.Labels[pos]
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestAllDriversProduceIdenticalLabels is the pipeline's central
-// guarantee: the four public drivers are thin adapters over one
-// dataflow, so for a fixed seed their labels, cluster counts, and Gram
+// guarantee: the public drivers are thin adapters over one dataflow,
+// so for a fixed seed their labels, cluster counts, and Gram
 // accounting must agree exactly.
 func TestAllDriversProduceIdenticalLabels(t *testing.T) {
 	l := mixture(t, 240, 12, 4, 0.03, 40)
@@ -24,10 +24,6 @@ func TestAllDriversProduceIdenticalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := ClusterMapReduce(l.Points, cfg, &mapreduce.Local{}, "pipeline-test")
-	if err != nil {
-		t.Fatal(err)
-	}
 	shipped, err := ClusterMapReduceShipped(l.Points, cfg, &mapreduce.Local{})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +31,6 @@ func TestAllDriversProduceIdenticalLabels(t *testing.T) {
 
 	others := map[string]*Result{
 		"incremental": &inc.Result,
-		"mapreduce":   mr,
 		"shipped":     shipped,
 	}
 	for name, res := range others {
@@ -70,9 +65,6 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 	if _, err := ClusterIncrementalContext(ctx, l.Points, cfg, 1<<20); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClusterIncrementalContext err = %v, want context.Canceled", err)
-	}
-	if _, err := ClusterMapReduceContext(ctx, l.Points, cfg, &mapreduce.Local{}, "cancel-test"); !errors.Is(err, context.Canceled) {
-		t.Errorf("ClusterMapReduceContext err = %v, want context.Canceled", err)
 	}
 	if _, err := ClusterMapReduceShippedContext(ctx, l.Points, cfg, &mapreduce.Local{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClusterMapReduceShippedContext err = %v, want context.Canceled", err)

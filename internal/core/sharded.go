@@ -6,44 +6,40 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/embed"
-	"repro/internal/kernel"
-	"repro/internal/kmeans"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/matrix"
 	"repro/internal/shard"
-	"repro/internal/spectral"
 )
 
-// This file provides the out-of-core MapReduce formulation of DASC:
-// the input matrix lives in a shard directory (internal/shard) instead
-// of driver memory, and both stages' workers demand-read only the rows
-// their tasks touch. The driver's resident footprint is the fit sample
-// plus MapReduce bookkeeping — never the full matrix — so dataset size
-// is bounded by disk, not RAM. Combined with Config.SpillBytes this is
-// the data plane of the first million-point runs.
+// This file is the out-of-core driver: the two stages of mapreduce.go
+// with the input matrix in a shard directory (internal/shard) instead
+// of driver memory. The plan is fitted on a sample of shard rows, and
+// both stages' workers demand-read only the rows their tasks touch. The
+// driver's resident footprint is the fit sample plus MapReduce
+// bookkeeping — never the full matrix — so dataset size is bounded by
+// disk, not RAM. Combined with Config.SpillBytes this is the data plane
+// of the first million-point runs.
 //
 // Stage 1 maps over shard row ranges (the HDFS-input-split analogue):
 // each record names a [start, start+count) range, the mapper streams
-// exactly those rows from its process-local shard reader and emits the
-// usual (table:signature, index) records. Stage 2 ships only bucket
-// index lists; the reducer hydrates each bucket's rows from the shards
-// and runs the same solve engine as every other driver. With
+// exactly those rows from its process-local shard reader. Stage 2 ships
+// only bucket index lists; the reducer hydrates each bucket's rows from
+// the shards and solves it with clusterOneBucket. With
 // Config.FitSample >= N the plan fit sees every row and the labels are
 // bit-identical to the in-memory drivers'.
 
 // Names of the factory-registered sharded jobs.
 const (
-	ShardedLSHJobName     = "dasc/sharded-lsh"
-	ShardedClusterJobName = "dasc/sharded-cluster"
+	ShardedHashJobName  = "dasc/sharded-lsh"
+	ShardedSolveJobName = "dasc/sharded-cluster"
 )
 
 func init() {
-	mapreduce.RegisterFactory(ShardedLSHJobName, newShardedLSHJob)
-	mapreduce.RegisterFactory(ShardedClusterJobName, newShardedClusterJob)
+	mapreduce.RegisterFactory(ShardedHashJobName, newShardedHashJob)
+	mapreduce.RegisterFactory(ShardedSolveJobName, newShardedSolveJob)
 	// Workers ship this process-cumulative meter back on TCP results so
 	// a master in another process can account our shard reads.
 	mapreduce.SetShardMeter(workerShardBytes)
@@ -94,16 +90,12 @@ func cachedShardReader(dir string) (*shard.Reader, error) {
 // workerShardBytes sums the shard bytes read through this process's
 // reader cache, for the driver's ShardReadBytes delta accounting.
 func workerShardBytes() int64 {
-	var total int64
-	shardReaders.Range(func(_, v interface{}) bool {
-		total += v.(*shard.Reader).BytesRead()
-		return true
-	})
-	return total
+	bytes, _, _ := workerShardIOStats()
+	return bytes
 }
 
-// workerShardIOStats additionally sums the ReadAt-call and
-// coalesced-read counters across the reader cache.
+// workerShardIOStats sums the bytes, ReadAt-call and coalesced-read
+// counters across the reader cache.
 func workerShardIOStats() (bytes, ops, coalesced int64) {
 	shardReaders.Range(func(_, v interface{}) bool {
 		r := v.(*shard.Reader)
@@ -131,24 +123,20 @@ func decodeRowRange(buf []byte) (start, count int, err error) {
 	return int(binary.LittleEndian.Uint32(buf[0:])), int(binary.LittleEndian.Uint32(buf[4:])), nil
 }
 
-// newShardedLSHJob rebuilds stage 1 from its configuration: the mapper
-// streams its record's row range from the local shard reader, hashes
-// every row with each table's shipped thresholds, and emits one
-// (table:signature, index) record per table; the reducer is the
+// newShardedHashJob rebuilds stage 1 from its configuration: the mapper
+// streams its record's row range from the local shard reader and hashes
+// every row with each table's shipped thresholds; the reducer is the
 // identity grouping, exactly like the shipped LSH job.
-func newShardedLSHJob(conf []byte) (*mapreduce.Job, error) {
+func newShardedHashJob(conf []byte) (*mapreduce.Job, error) {
 	var c shardedLSHConf
 	if err := gobDecode(conf, &c); err != nil {
 		return nil, fmt.Errorf("core: sharded lsh conf: %w", err)
 	}
-	if c.Dir == "" || len(c.Tables) == 0 {
-		return nil, fmt.Errorf("core: sharded lsh conf needs a directory and tables")
+	if c.Dir == "" {
+		return nil, fmt.Errorf("core: sharded lsh conf needs a directory")
 	}
-	for t, tab := range c.Tables {
-		if len(tab.Dims) != len(tab.Thresholds) || len(tab.Dims) == 0 {
-			return nil, fmt.Errorf("core: sharded lsh conf table %d has %d dims, %d thresholds",
-				t, len(tab.Dims), len(tab.Thresholds))
-		}
+	if err := validateTables(c.Tables); err != nil {
+		return nil, err
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
@@ -163,46 +151,28 @@ func newShardedLSHJob(conf []byte) (*mapreduce.Job, error) {
 				return err
 			}
 			return r.Stream(start, count, func(idx int, row []float64) error {
-				buf := make([]byte, 4)
-				binary.LittleEndian.PutUint32(buf, uint32(idx))
-				for t, tab := range c.Tables {
-					var sig uint64
-					for i, dim := range tab.Dims {
-						if dim < 0 || dim >= len(row) {
-							return fmt.Errorf("hash dimension %d outside vector of %d", dim, len(row))
-						}
-						if row[dim] > tab.Thresholds[i] {
-							sig |= 1 << uint(i)
-						}
-					}
-					emit(encodeSigKey(t, sig), buf)
-				}
-				return nil
+				return hashRow(c.Tables, idx, row, emit)
 			})
 		},
-		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
-			for _, v := range values {
-				emit(key, v)
-			}
-			return nil
-		},
+		Reduce: passThroughReduce,
 	}, nil
 }
 
-// newShardedClusterJob rebuilds stage 2: each reduce value is a bucket
+// newShardedSolveJob rebuilds stage 2: each reduce value is a bucket
 // index list; the reducer hydrates exactly those rows from the shard
-// reader, runs the per-bucket solve (same engine, same embed policy as
-// the in-memory drivers), and emits per-point (index, localLabel, k)
-// plus the bucket stats record.
-func newShardedClusterJob(conf []byte) (*mapreduce.Job, error) {
+// reader and solves them with clusterOneBucket (same engine, same embed
+// policy as the in-memory drivers).
+func newShardedSolveJob(conf []byte) (*mapreduce.Job, error) {
 	var sc shardedClusterConf
 	if err := gobDecode(conf, &sc); err != nil {
 		return nil, fmt.Errorf("core: sharded cluster conf: %w", err)
 	}
 	c := sc.C
-	if sc.Dir == "" || c.N < 1 || c.K < 1 || c.Sigma <= 0 || c.EmbedDim < 0 ||
-		(c.EmbedDim > 0 && c.EmbedCutoff < 1) {
-		return nil, fmt.Errorf("core: sharded cluster conf %+v invalid", sc)
+	if sc.Dir == "" {
+		return nil, fmt.Errorf("core: sharded cluster conf needs a directory")
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
 	}
 	// The embedder is a pure function of (cols, d', sigma, seed): fit it
 	// once per job build so every reduce task shares one feature map,
@@ -220,10 +190,7 @@ func newShardedClusterJob(conf []byte) (*mapreduce.Job, error) {
 	}
 	return &mapreduce.Job{
 		NumReducers: 4,
-		Map: func(key string, value []byte, emit mapreduce.Emit) error {
-			emit(key, value) // identity: buckets are already formed
-			return nil
-		},
+		Map:         passThrough,
 		Reduce: func(key string, values [][]byte, emit mapreduce.Emit) error {
 			r, err := cachedShardReader(sc.Dir)
 			if err != nil {
@@ -231,7 +198,7 @@ func newShardedClusterJob(conf []byte) (*mapreduce.Job, error) {
 			}
 			var scratch []float64
 			for _, v := range values {
-				indices, err := decodeIndicesConf(v, c.Compression)
+				indices, err := unpackIndices(v)
 				if err != nil {
 					return err
 				}
@@ -239,14 +206,11 @@ func newShardedClusterJob(conf []byte) (*mapreduce.Job, error) {
 				if err != nil {
 					return err
 				}
-				sol, err := clusterHydratedBucket(pts, c, indices, emb, &scratch)
+				sol, err := clusterOneBucket(pts, iota(len(indices)), indices, c, emb, &scratch)
 				if err != nil {
 					return err
 				}
-				for pos, idx := range indices {
-					emit(key, encodeLabel(idx, sol.Labels[pos], sol.K))
-				}
-				emit(key, encodeBucketStatsConf(sol, c.Compression))
+				emitSolution(key, indices, sol, emit)
 			}
 			return nil
 		},
@@ -265,94 +229,41 @@ func hydrateBucket(r *shard.Reader, indices []int) (*matrix.Dense, error) {
 	return pts, nil
 }
 
-// clusterHydratedBucket mirrors clusterOneBucket on a hydrated bucket:
-// unlike the shipped job (whose embedded buckets arrive pre-embedded),
-// the sharded reducer holds raw rows and the worker-side feature map,
-// so it routes through the same engine config as the local driver —
-// embed gate included — and the engine makes identical choices.
-func clusterHydratedBucket(pts *matrix.Dense, c clusterConf, indices []int, emb embed.Embedder, scratch *[]float64) (BucketSolution, error) {
-	ni := pts.Rows()
-	ki := BucketK(c.K, ni, c.N)
-	if ni == 1 || ki == 1 {
-		return BucketSolution{Labels: make([]int, ni), K: 1, Solver: SolverTrivial}, nil
-	}
-	if ki == ni {
-		labels := make([]int, ni)
-		for i := range labels {
-			labels[i] = i
-		}
-		return BucketSolution{Labels: labels, K: ni, Solver: SolverTrivial}, nil
-	}
-	all := make([]int, ni)
-	for i := range all {
-		all[i] = i
-	}
-	ecfg := spectral.EngineConfig{
-		K:            ki,
-		Seed:         c.Seed + int64(indices[0]),
-		SparseCutoff: c.SparseCutoff,
-		Epsilon:      c.Epsilon,
-		Embedder:     emb,
-		EmbedCutoff:  c.EmbedCutoff,
-	}
-	res, stats, err := spectral.ClusterBucket(pts, all, kernel.NewGaussian(c.Sigma), ecfg, scratch)
-	if err == nil {
-		return BucketSolution{
-			Labels: res.Labels, K: ki,
-			Solver: stats.Solver, NNZ: stats.NNZ, Fill: stats.Fill,
-			SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
-		}, nil
-	}
-	km, kerr := kmeans.Run(pts, kmeans.Config{K: ki, Seed: c.Seed})
-	if kerr != nil {
-		return BucketSolution{}, fmt.Errorf("spectral (%v) and kmeans fallback (%v) both failed", err, kerr)
-	}
-	return BucketSolution{
-		Labels: km.Labels, K: ki,
-		Solver: SolverKMeansFallback, NNZ: stats.NNZ, Fill: stats.Fill,
-		SolveNanos: stats.Nanos, GramBytes: stats.GramBytes,
-	}, nil
+// shardRows is the RowSource of a shard directory. Row allocates per
+// call; the partition stage only consults it when ProbeRadius > 0. A
+// read failure returns a zero row and is reported by err, which the
+// pipeline checks after partitioning.
+type shardRows struct {
+	r       *shard.Reader
+	readErr error
 }
 
-// shardPoints adapts a shard.Reader to lsh.PointSource for
-// margin-ordered probing. Row allocates per call; the partition stage
-// only consults it when ProbeRadius > 0, and a read failure surfaces
-// through err (Row itself cannot fail, so it returns a zero row and
-// the driver checks err after partitioning).
-type shardPoints struct {
-	r   *shard.Reader
-	err error
-}
+func (s *shardRows) Rows() int  { return s.r.Rows() }
+func (s *shardRows) err() error { return s.readErr }
 
-func (s *shardPoints) Rows() int { return s.r.Rows() }
-
-func (s *shardPoints) Row(i int) []float64 {
+func (s *shardRows) Row(i int) []float64 {
 	row, err := s.r.ReadRow(i, nil)
 	if err != nil {
-		if s.err == nil {
-			s.err = err
+		if s.readErr == nil {
+			s.readErr = err
 		}
 		return make([]float64, s.r.Cols())
 	}
 	return row
 }
 
-// readFitSample reads min(FitSample, N) evenly spaced rows into a
-// dense fit matrix. With FitSample >= N this is the full matrix in row
-// order, which makes every downstream fit identical to the in-memory
-// drivers'.
-func readFitSample(r *shard.Reader, fitSample int) (*matrix.Dense, error) {
-	n := r.Rows()
-	m := fitSample
-	if m > n {
-		m = n
-	}
-	sample := matrix.NewDense(m, r.Cols())
+// fitRows reads min(fitSample, N) evenly spaced rows. With
+// fitSample >= N this is the full matrix in row order, which makes
+// every downstream fit identical to the in-memory drivers'.
+func (s *shardRows) fitRows(fitSample int) (*matrix.Dense, error) {
+	n := s.r.Rows()
+	m := min(fitSample, n)
+	sample := matrix.NewDense(m, s.r.Cols())
 	indices := make([]int, m)
-	for i := 0; i < m; i++ {
+	for i := range indices {
 		indices[i] = i * n / m // evenly spaced; identity i==idx when m == n
 	}
-	if err := r.ReadRowsInto(indices, sample.Row); err != nil {
+	if err := s.r.ReadRowsInto(indices, sample.Row); err != nil {
 		return nil, err
 	}
 	return sample, nil
@@ -374,9 +285,9 @@ func ClusterMapReduceSharded(dir string, cfg Config, exec mapreduce.Executor) (*
 
 // ClusterMapReduceShardedContext is ClusterMapReduceSharded with
 // cancellation.
-func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config, exec mapreduce.Executor) (_ *Result, err error) {
-	start := time.Now()
-	startShardBytes, startShardOps, startShardCoalesced := workerShardIOStats()
+func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config, exec mapreduce.Executor) (*Result, error) {
+	r := &shardedRunner{mrRunner: mrRunner{exec: exec}, dir: dir}
+	r.ioStart[0], r.ioStart[1], r.ioStart[2] = workerShardIOStats()
 	// The driver uses the same process-wide cached reader as in-process
 	// workers: one set of handles per directory, shared by the fit
 	// sample, probe reads, and every local reduce task.
@@ -384,148 +295,57 @@ func ClusterMapReduceShardedContext(ctx context.Context, dir string, cfg Config,
 	if err != nil {
 		return nil, err
 	}
-	n := reader.Rows()
-	cfg, radius, err := cfg.resolve(n)
+	r.reader = reader
+	return RunPipeline(ctx, &shardRows{r: reader}, cfg, r)
+}
+
+// shardedRunner is the out-of-core MapReduce backend: stage 1 runs over
+// shard row ranges and stage 2 over bucket index lists, each worker
+// reading the rows it needs from dir.
+type shardedRunner struct {
+	mrRunner
+	dir    string
+	reader *shard.Reader
+	// ioStart is the process's shard bytes, read ops and coalesced reads
+	// before the run, so the run's share can be told apart.
+	ioStart [3]int64
+}
+
+func (*shardedRunner) Name() string { return "mapreduce-sharded" }
+
+// MapReduceCounters adds the shard reads this process made during the
+// run — the fit sample, probe rows, and every in-process worker's
+// stage reads — to the executor counters. External TCP worker
+// processes report their reads on result frames, which the master
+// already folded into the stage counters.
+func (r *shardedRunner) MapReduceCounters() *mapreduce.Counters {
+	c := r.ctr
+	bytes, ops, coalesced := workerShardIOStats()
+	c.ShardReadBytes += bytes - r.ioStart[0]
+	c.ShardReadOps += ops - r.ioStart[1]
+	c.ShardCoalescedReads += coalesced - r.ioStart[2]
+	return &c
+}
+
+func (r *shardedRunner) Signatures(ctx context.Context, p *Plan) (*lsh.SignatureSet, error) {
+	hashers, err := p.Hashers()
 	if err != nil {
 		return nil, err
 	}
-
-	// Plan fit from the sample.
-	sample, err := readFitSample(reader, cfg.FitSample)
-	if err != nil {
-		return nil, fmt.Errorf("core: sharded fit sample: %w", err)
-	}
-	ens, err := lsh.FitEnsemble(sample, lsh.Config{
-		M: cfg.M, Policy: cfg.Policy, Bins: cfg.Bins, Seed: cfg.Seed,
-	}, lsh.EnsembleConfig{
-		Tables:          cfg.Tables,
-		ProbeRadius:     cfg.ProbeRadius,
-		MaxMergedBucket: cfg.MaxMergedBucket,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: lsh: %w", err)
-	}
-	sigma := cfg.Sigma
-	if sigma <= 0 {
-		sigma = kernel.MedianSigma(sample, 512, cfg.Seed)
-	}
-	hashers := make([]*lsh.Hasher, 0, len(ens.Families()))
-	for t, f := range ens.Families() {
-		h, ok := f.(*lsh.Hasher)
-		if !ok {
-			return nil, fmt.Errorf("core: table %d is %T, the sharded driver needs the fitted hasher", t, f)
-		}
-		hashers = append(hashers, h)
-	}
-
-	ctr := &mapreduce.Counters{}
-
-	// Stage 1: signatures from shard row ranges.
-	lshBlob, err := gobEncode(shardedLSHConf{Dir: dir, Tables: tablesConf(hashers)})
-	if err != nil {
-		return nil, err
-	}
-	lshJob, err := newShardedLSHJob(lshBlob)
-	if err != nil {
-		return nil, err
-	}
-	lshJob.Name = ShardedLSHJobName
-	lshJob.Conf = lshBlob
-	lshJob.SpillBytes = cfg.SpillBytes
-	lshJob.Compress = cfg.Compression
-	ranges := reader.Ranges()
+	ranges := r.reader.Ranges()
 	input := make([]mapreduce.Pair, len(ranges))
 	for i, rg := range ranges {
 		input[i] = mapreduce.Pair{Key: strconv.Itoa(i), Value: encodeRowRange(rg[0], rg[1]-rg[0])}
 	}
-	sigPairs, sctr, err := mapreduce.RunWithContext(ctx, exec, lshJob, input)
-	if err != nil {
-		return nil, fmt.Errorf("core: lsh stage: %w", err)
-	}
-	ctr.Add(sctr)
-	sigs, err := signaturesFromPairs(sigPairs, n, len(hashers))
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2 input: bucket-merge on the driver, exactly like every
-	// other runner. Margin-ordered probing reads rows on demand through
-	// the shard adapter; without probing no row is touched.
-	var psrc lsh.PointSource
-	var sp *shardPoints
-	if cfg.ProbeRadius > 0 {
-		sp = &shardPoints{r: reader}
-		psrc = sp
-	}
-	part, err := ens.Partition(psrc, sigs, radius)
-	if err != nil {
-		return nil, fmt.Errorf("core: sharded: %w", err)
-	}
-	if sp != nil && sp.err != nil {
-		return nil, fmt.Errorf("core: sharded probe rows: %w", sp.err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: sharded: %w", err)
-	}
-
-	clusterBlob, err := gobEncode(shardedClusterConf{Dir: dir, C: clusterConf{
-		N: n, K: cfg.K, Sigma: sigma, Seed: cfg.Seed,
-		SparseCutoff: cfg.SparseCutoff, Epsilon: cfg.Epsilon,
-		EmbedDim: cfg.EmbedDim, EmbedCutoff: cfg.EmbedCutoff,
-		Compression: cfg.Compression,
-	}})
-	if err != nil {
-		return nil, err
-	}
-	clusterJob, err := newShardedClusterJob(clusterBlob)
-	if err != nil {
-		return nil, err
-	}
-	clusterJob.Name = ShardedClusterJobName
-	clusterJob.Conf = clusterBlob
-	clusterJob.SpillBytes = cfg.SpillBytes
-	clusterJob.Compress = cfg.Compression
-	stage2 := make([]mapreduce.Pair, len(part.Buckets))
-	for bi, b := range part.Buckets {
-		stage2[bi] = mapreduce.Pair{
-			Key:   fmt.Sprintf("%016x", b.Signature),
-			Value: encodeIndicesConf(b.Indices, cfg.Compression),
-		}
-	}
-	labelPairs, cctr, err := mapreduce.RunWithContext(ctx, exec, clusterJob, stage2)
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster stage: %w", err)
-	}
-	ctr.Add(cctr)
-	sols, err := solutionsFromLabelPairs(part, labelPairs, n, cfg.Compression)
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := assembleSolutions(part, sols, n)
-	if err != nil {
-		return nil, fmt.Errorf("core: sharded: %w", err)
-	}
-	res.SignatureBits = cfg.M
-	res.MergeRadius = radius
-	res.Elapsed = time.Since(start)
-	// Process-local shard-read accounting: exact when the executor's
-	// workers share this process; external TCP worker processes report
-	// their byte meter on result frames, which the master already folded
-	// into the stage counters (see mapreduce.Counters.ShardReadBytes).
-	endShardBytes, endShardOps, endShardCoalesced := workerShardIOStats()
-	ctr.ShardReadBytes += endShardBytes - startShardBytes
-	ctr.ShardReadOps += endShardOps - startShardOps
-	ctr.ShardCoalescedReads += endShardCoalesced - startShardCoalesced
-	res.MapReduce = ctr
-	return res, nil
+	conf := shardedLSHConf{Dir: r.dir, Tables: tablesConf(hashers)}
+	return r.signatures(ctx, p, ShardedHashJobName, newShardedHashJob, conf, input)
 }
 
-// tablesConf extracts every fitted hasher's wire parameters.
-func tablesConf(hashers []*lsh.Hasher) []lshTable {
-	out := make([]lshTable, len(hashers))
-	for t, h := range hashers {
-		out[t] = lshTable{Dims: h.Dimensions(), Thresholds: h.Thresholds()}
+func (r *shardedRunner) Solve(ctx context.Context, p *Plan, part *lsh.Partition) ([]BucketSolution, error) {
+	values := make([][]byte, len(part.Buckets))
+	for bi, b := range part.Buckets {
+		values[bi] = packIndices(b.Indices)
 	}
-	return out
+	conf := shardedClusterConf{Dir: r.dir, C: p.clusterConf()}
+	return r.solve(ctx, p, part, ShardedSolveJobName, newShardedSolveJob, conf, values)
 }

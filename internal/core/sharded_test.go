@@ -139,24 +139,24 @@ func TestShardedCancellation(t *testing.T) {
 
 // TestShardedConfValidation pins the factory-side conf checks.
 func TestShardedConfValidation(t *testing.T) {
-	if _, err := newShardedLSHJob([]byte("junk")); err == nil {
+	if _, err := newShardedHashJob([]byte("junk")); err == nil {
 		t.Error("garbage lsh conf accepted")
 	}
 	blob, err := gobEncode(shardedLSHConf{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShardedLSHJob(blob); err == nil {
+	if _, err := newShardedHashJob(blob); err == nil {
 		t.Error("empty lsh conf accepted")
 	}
-	if _, err := newShardedClusterJob([]byte("junk")); err == nil {
+	if _, err := newShardedSolveJob([]byte("junk")); err == nil {
 		t.Error("garbage cluster conf accepted")
 	}
 	blob, err = gobEncode(shardedClusterConf{Dir: "x", C: clusterConf{N: 0, K: 1, Sigma: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShardedClusterJob(blob); err == nil {
+	if _, err := newShardedSolveJob(blob); err == nil {
 		t.Error("invalid cluster conf accepted")
 	}
 	if _, err := ClusterMapReduceSharded(t.TempDir(), Config{}, &mapreduce.Local{}); err == nil {

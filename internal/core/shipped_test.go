@@ -168,24 +168,24 @@ func TestShippedCodecs(t *testing.T) {
 }
 
 func TestShippedJobFactoriesValidateConf(t *testing.T) {
-	if _, err := newShippedLSHJob([]byte("garbage")); err == nil {
+	if _, err := newShippedHashJob([]byte("garbage")); err == nil {
 		t.Fatal("expected gob error")
 	}
 	blob, err := gobEncode(lshConf{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShippedLSHJob(blob); err == nil {
+	if _, err := newShippedHashJob(blob); err == nil {
 		t.Fatal("expected empty-conf error")
 	}
-	if _, err := newShippedClusterJob([]byte("garbage")); err == nil {
+	if _, err := newShippedSolveJob([]byte("garbage")); err == nil {
 		t.Fatal("expected gob error")
 	}
 	blob, err = gobEncode(clusterConf{N: 0, K: 1, Sigma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShippedClusterJob(blob); err == nil {
+	if _, err := newShippedSolveJob(blob); err == nil {
 		t.Fatal("expected invalid-conf error")
 	}
 }

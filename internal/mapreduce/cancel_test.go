@@ -85,7 +85,7 @@ func TestLocalDeadlineExceeded(t *testing.T) {
 
 // TestTCPCancelMidJob cancels a job whose map tasks are blocked on a
 // worker. RunContext must return promptly with context.Canceled, the
-// master must end up closed (its gob streams are unrecoverable), and no
+// master must end up closed (its frame streams are unrecoverable), and no
 // goroutines may leak.
 func TestTCPCancelMidJob(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -240,7 +240,7 @@ func TestTCPHungWorkerHitsIOTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if _, err := sendHello(conn, WireVersionLatest, time.Second, &wireStats{}); err != nil {
+	if err := sendHello(conn, time.Second, &wireStats{}); err != nil {
 		t.Fatal(err)
 	}
 

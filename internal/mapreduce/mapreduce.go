@@ -4,7 +4,7 @@
 // shuffle, and a reduce phase over grouped keys, with an optional
 // combiner. Two executors are provided — Local, a bounded goroutine
 // worker pool, and TCP, a master/worker deployment over real sockets
-// with gob-encoded task traffic (see tcp.go).
+// with binary-framed task traffic (see tcp.go and wire.go).
 package mapreduce
 
 import (
@@ -15,7 +15,7 @@ import (
 )
 
 // Pair is one key/value record. Values are opaque bytes; typed adapters
-// encode with encoding/gob or strconv as they see fit.
+// encode with encoding/binary or strconv as they see fit.
 type Pair struct {
 	Key   string
 	Value []byte
@@ -56,8 +56,8 @@ type Job struct {
 	SpillBytes int64
 	// Compress turns on the lossless data-plane compression paths for
 	// this job: spill runs are deflated on flush (and inflated inside
-	// the merge's RunReaders), and TCP frames at wire v3 compress
-	// bodies above CompressThreshold in both directions. Off by
+	// the merge's RunReaders), and TCP frames compress bodies above
+	// CompressThreshold in both directions. Off by
 	// default; output is bit-identical either way, only the bytes
 	// moved change.
 	Compress bool
@@ -95,8 +95,8 @@ type Counters struct {
 	// the encoded size of every embedded bucket record a driver shipped
 	// in place of raw vectors, and the wall time the driver spent in the
 	// map-side embedding transform. Zero when embed mode is off or the
-	// runner never ships data (e.g. the closure MapReduce runner embeds
-	// inside its reducers, where the cost lands in SolveNanos instead).
+	// runner never ships data (e.g. the sharded runner embeds inside its
+	// reducers, where the cost lands in SolveNanos instead).
 	EmbedBytes int64
 	EmbedNanos int64
 	// SpillBytes / SpillNanos account the out-of-core shuffle: the bytes
@@ -109,10 +109,8 @@ type Counters struct {
 	// sharded jobs (see internal/shard). Workers in this process (Local,
 	// or TCP workers started in-process) are metered directly by the
 	// sharded driver; external TCP worker processes ship their meter
-	// back on result messages (wire v3 or gob — see SetShardMeter) and
-	// the master folds the de-duplicated per-process spans in here.
-	// v2-framed external workers cannot carry the meter and stay
-	// invisible.
+	// back on result frames (see SetShardMeter) and the master folds
+	// the de-duplicated per-process spans in here.
 	ShardReadBytes int64
 	// ShardReadOps / ShardCoalescedReads count the ReadAt calls issued
 	// against shard files and how many of those served more than one

@@ -47,7 +47,7 @@ func TestTCPStragglerRequeue(t *testing.T) {
 	wg.Add(2)
 	go func() { // slow straggler: hold in-flight tasks, then die
 		defer wg.Done()
-		conn, cdc := dialHello(t, m.Addr(), WireVersionLatest)
+		conn, cdc := dialHello(t, m.Addr())
 		var task taskMsg
 		_, _ = cdc.readTask(&task)
 		time.Sleep(300 * time.Millisecond)
@@ -117,7 +117,7 @@ func orderSensitiveJob(name string) *Job {
 
 // TestShuffleDeterminismAcrossExecutors fixes one input and asserts
 // byte-identical output from the Local pool, the pipelined frame
-// protocol, and the lock-step gob replay configuration — the
+// protocol, and the lock-step (one task in flight) configuration — the
 // determinism contract the merge shuffle must uphold (run under the CI
 // -race gate, where dispatch interleavings vary wildly).
 func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
@@ -165,10 +165,10 @@ func TestShuffleDeterminismAcrossExecutors(t *testing.T) {
 		return out
 	}
 
-	pipelined := runTCP(TCPConfig{}) // defaults: frames, in-flight window
-	lockstep := runTCP(TCPConfig{MaxInFlight: 1, MaxWireVersion: WireVersionGob})
+	pipelined := runTCP(TCPConfig{}) // default in-flight window
+	lockstep := runTCP(TCPConfig{MaxInFlight: 1})
 
-	for name, got := range map[string][]Pair{"pipelined": pipelined, "lockstep-gob": lockstep} {
+	for name, got := range map[string][]Pair{"pipelined": pipelined, "lockstep": lockstep} {
 		if len(got) != len(localOut) {
 			t.Fatalf("%s: %d records, local has %d", name, len(got), len(localOut))
 		}

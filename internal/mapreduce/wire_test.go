@@ -3,7 +3,7 @@ package mapreduce
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -45,9 +45,9 @@ func randomWirePairs(rng *rand.Rand, maxLen int) []Pair {
 	return out
 }
 
-// semanticPairEq treats nil and empty values as equal — gob and the
-// frame parser both collapse empty slices to nil, but the random
-// generators produce both shapes.
+// semanticPairEq treats nil and empty values as equal — the frame
+// parser collapses empty slices to nil, but the random generators
+// produce both shapes.
 func semanticPairEq(a, b []Pair) bool {
 	if len(a) != len(b) {
 		return false
@@ -87,10 +87,9 @@ func frameRoundTripTask(t *testing.T, in *taskMsg) taskMsg {
 	return out
 }
 
-// TestWireTaskRoundTripAgainstGob is the codec property test: for
-// random taskMsg values, the frame round trip must preserve exactly
-// what a gob round trip preserves.
-func TestWireTaskRoundTripAgainstGob(t *testing.T) {
+// TestWireTaskRoundTrip is the codec property test: for random taskMsg
+// values, the frame round trip must preserve every shipped field.
+func TestWireTaskRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		in := taskMsg{
@@ -100,31 +99,20 @@ func TestWireTaskRoundTripAgainstGob(t *testing.T) {
 			Conf:        randomWireBytes(rng),
 			NumReducers: rng.Intn(64),
 			Records:     randomWirePairs(rng, 12),
+			Flags:       uint64(rng.Intn(4)),
 		}
-
-		var gobBuf bytes.Buffer
-		var gobOut taskMsg
-		if err := gob.NewEncoder(&gobBuf).Encode(&in); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&gobBuf).Decode(&gobOut); err != nil {
-			t.Fatal(err)
-		}
-
-		frameOut := frameRoundTripTask(t, &in)
-		if frameOut.Seq != gobOut.Seq || frameOut.JobName != gobOut.JobName ||
-			frameOut.Phase != gobOut.Phase || !bytes.Equal(frameOut.Conf, gobOut.Conf) ||
-			frameOut.NumReducers != gobOut.NumReducers ||
-			!semanticPairEq(frameOut.Records, gobOut.Records) {
-			t.Fatalf("trial %d: frame decode %+v differs from gob decode %+v (in %+v)",
-				trial, frameOut, gobOut, in)
+		out := frameRoundTripTask(t, &in)
+		if out.Seq != in.Seq || out.JobName != in.JobName || out.Phase != in.Phase ||
+			!bytes.Equal(out.Conf, in.Conf) || out.NumReducers != in.NumReducers ||
+			out.Flags != in.Flags || !semanticPairEq(out.Records, in.Records) {
+			t.Fatalf("trial %d: decoded %+v, sent %+v", trial, out, in)
 		}
 	}
 }
 
-// TestWireResultRoundTripAgainstGob does the same for resultMsg,
-// including multi-partition payloads and error strings.
-func TestWireResultRoundTripAgainstGob(t *testing.T) {
+// TestWireResultRoundTrip does the same for resultMsg, including
+// multi-partition payloads, error strings and the shard meter.
+func TestWireResultRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
 		nParts := rng.Intn(5)
@@ -136,14 +124,8 @@ func TestWireResultRoundTripAgainstGob(t *testing.T) {
 			}
 		}
 		in := resultMsg{Seq: rng.Intn(1 << 20), Err: randomWireString(rng), Parts: parts}
-
-		var gobBuf bytes.Buffer
-		var gobOut resultMsg
-		if err := gob.NewEncoder(&gobBuf).Encode(&in); err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewDecoder(&gobBuf).Decode(&gobOut); err != nil {
-			t.Fatal(err)
+		if rng.Intn(2) == 0 {
+			in.ShardTok, in.ShardStart, in.ShardEnd = rng.Uint64(), rng.Int63n(1<<40), rng.Int63n(1<<40)
 		}
 
 		var st wireStats
@@ -151,18 +133,17 @@ func TestWireResultRoundTripAgainstGob(t *testing.T) {
 		if _, err := (&frameCodec{w: &buf, st: &st}).writeResult(&in); err != nil {
 			t.Fatal(err)
 		}
-		var frameOut resultMsg
-		if _, err := (&frameCodec{br: bufio.NewReader(&buf), st: &st}).readResult(&frameOut); err != nil {
+		var out resultMsg
+		if _, err := (&frameCodec{br: bufio.NewReader(&buf), st: &st}).readResult(&out); err != nil {
 			t.Fatal(err)
 		}
-		if frameOut.Seq != gobOut.Seq || frameOut.Err != gobOut.Err ||
-			len(frameOut.Parts) != len(gobOut.Parts) {
-			t.Fatalf("trial %d: frame %+v vs gob %+v", trial, frameOut, gobOut)
+		if out.Seq != in.Seq || out.Err != in.Err || len(out.Parts) != len(in.Parts) ||
+			out.ShardTok != in.ShardTok || out.ShardStart != in.ShardStart || out.ShardEnd != in.ShardEnd {
+			t.Fatalf("trial %d: decoded %+v, sent %+v", trial, out, in)
 		}
-		for p := range frameOut.Parts {
-			if !semanticPairEq(frameOut.Parts[p], gobOut.Parts[p]) {
-				t.Fatalf("trial %d part %d: frame %v vs gob %v",
-					trial, p, frameOut.Parts[p], gobOut.Parts[p])
+		for p := range out.Parts {
+			if !semanticPairEq(out.Parts[p], in.Parts[p]) {
+				t.Fatalf("trial %d part %d: decoded %v, sent %v", trial, p, out.Parts[p], in.Parts[p])
 			}
 		}
 	}
@@ -177,9 +158,9 @@ func TestWireMalformedFramesDoNotPanic(t *testing.T) {
 		body := make([]byte, rng.Intn(80))
 		rng.Read(body)
 		var tm taskMsg
-		_ = parseTask(body, &tm, false)
+		_ = parseTask(body, &tm)
 		var res resultMsg
-		_ = parseResult(body, &res, false)
+		_ = parseResult(body, &res)
 	}
 
 	// Truncations of a known-good body must all fail cleanly.
@@ -193,64 +174,82 @@ func TestWireMalformedFramesDoNotPanic(t *testing.T) {
 	body := full[1:]                                 // strip the kind byte
 	for cut := 0; cut < len(body); cut++ {
 		var tm taskMsg
-		if err := parseTask(body[:cut], &tm, false); err == nil {
+		if err := parseTask(body[:cut], &tm); err == nil {
 			t.Fatalf("truncation at %d/%d parsed without error", cut, len(body))
 		}
 	}
 	var tm taskMsg
-	if err := parseTask(body, &tm, false); err != nil {
+	if err := parseTask(body, &tm); err != nil {
 		t.Fatalf("full body failed: %v", err)
 	}
-	if err := parseTask(append(append([]byte(nil), body...), 0), &tm, false); err == nil {
+	if err := parseTask(append(append([]byte(nil), body...), 0), &tm); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
 
-// helloPeers runs both handshake halves over an in-memory duplex pipe.
-func helloPeers(t *testing.T, workerMax, masterMax byte) (workerV, masterV byte, workerErr, masterErr error) {
-	t.Helper()
-	wc, mc := net.Pipe()
-	defer func() { _ = wc.Close(); _ = mc.Close() }()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		masterV, masterErr = acceptHello(mc, masterMax, time.Second, &wireStats{})
-	}()
-	workerV, workerErr = sendHello(wc, workerMax, time.Second, &wireStats{})
-	<-done
-	return workerV, masterV, workerErr, masterErr
-}
-
-// TestWireHelloNegotiation checks that both sides settle on
-// min(worker max, master max), enabling rolling upgrades.
+// TestWireHelloNegotiation checks the one-version handshake: two peers
+// of this build agree, and each side refuses, with an error, a peer
+// presenting any other version, while the master also refuses a bad
+// magic.
 func TestWireHelloNegotiation(t *testing.T) {
-	cases := []struct{ worker, master, want byte }{
-		{WireVersionFrames, WireVersionFrames, WireVersionFrames},
-		{WireVersionGob, WireVersionFrames, WireVersionGob},    // old worker, new master
-		{WireVersionFrames, WireVersionGob, WireVersionGob},    // new worker, old master
-		{WireVersionFrames + 5, WireVersionFrames, WireVersionFrames}, // future worker
+	wc, mc := net.Pipe()
+	masterErr := make(chan error, 1)
+	go func() { masterErr <- acceptHello(mc, time.Second, &wireStats{}) }()
+	if err := sendHello(wc, time.Second, &wireStats{}); err != nil {
+		t.Fatalf("worker side: %v", err)
 	}
-	for _, c := range cases {
-		wv, mv, werr, merr := helloPeers(t, c.worker, c.master)
-		if werr != nil || merr != nil {
-			t.Fatalf("hello(%d,%d): worker err %v, master err %v", c.worker, c.master, werr, merr)
+	if err := <-masterErr; err != nil {
+		t.Fatalf("master side: %v", err)
+	}
+	_ = wc.Close()
+	_ = mc.Close()
+
+	// Master side: a raw peer sends the hello bytes under test.
+	for name, hello := range map[string][]byte{
+		"bad magic":     []byte("HTTP/"),
+		"older version": append(wireMagic[:], WireVersion-1),
+		"newer version": append(wireMagic[:], WireVersion+1),
+		"version zero":  append(wireMagic[:], 0),
+	} {
+		wc, mc := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() { errCh <- acceptHello(mc, time.Second, &wireStats{}) }()
+		go func() {
+			if _, err := wc.Write(hello); err == nil {
+				// Drain the master's version reply, if it sends one.
+				_, _ = wc.Read(make([]byte, 1))
+			}
+		}()
+		if err := <-errCh; err == nil {
+			t.Errorf("master accepted a peer with %s", name)
 		}
-		if wv != c.want || mv != c.want {
-			t.Fatalf("hello(%d,%d) = worker %d, master %d; want %d", c.worker, c.master, wv, mv, c.want)
+		_ = wc.Close()
+		_ = mc.Close()
+	}
+
+	// Worker side: a raw master answers with another version.
+	for _, v := range []byte{0, WireVersion - 1, WireVersion + 1} {
+		wc, mc := net.Pipe()
+		go func() {
+			if _, err := io.ReadFull(mc, make([]byte, helloLen)); err == nil {
+				_, _ = mc.Write([]byte{v})
+			}
+		}()
+		if err := sendHello(wc, time.Second, &wireStats{}); err == nil {
+			t.Errorf("worker accepted a master speaking version %d", v)
 		}
+		_ = wc.Close()
+		_ = mc.Close()
 	}
 }
 
 // TestWireHelloRejectsBadMagic ensures a non-DASC peer is refused
-// during the handshake.
+// during the handshake with an error that says why.
 func TestWireHelloRejectsBadMagic(t *testing.T) {
 	wc, mc := net.Pipe()
 	defer func() { _ = wc.Close(); _ = mc.Close() }()
 	errCh := make(chan error, 1)
-	go func() {
-		_, err := acceptHello(mc, WireVersionLatest, time.Second, &wireStats{})
-		errCh <- err
-	}()
+	go func() { errCh <- acceptHello(mc, time.Second, &wireStats{}) }()
 	if _, err := wc.Write([]byte("HTTP/")); err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ func compressiblePairs(n int) []Pair {
 	return out
 }
 
-// v3Peers builds a connected encoder/decoder pair at wire v3 over an
-// in-memory stream, with outbound compression set as requested.
+// v3Peers builds a connected encoder/decoder pair over an in-memory
+// stream, with outbound compression set as requested.
 func v3Peers(buf *writeBuffer, st *wireStats, compress bool) (enc, dec *frameCodec) {
-	enc = &frameCodec{w: buf, st: st, version: WireVersionPacked}
+	enc = &frameCodec{w: buf, st: st}
 	enc.setCompress(compress)
-	dec = &frameCodec{br: bufio.NewReader(buf), st: st, version: WireVersionPacked}
+	dec = &frameCodec{br: bufio.NewReader(buf), st: st}
 	return enc, dec
 }
 
@@ -103,62 +103,26 @@ func TestWireV3CompressedTaskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireV3OffMatchesV2Bytes is the compatibility pin: a v3 codec with
-// compression off and no v3-only fields set must emit byte-identical
-// streams to a v2 codec, so mixed-version clusters and Compression=off
-// runs see exactly the PR 9 wire format.
-func TestWireV3OffMatchesV2Bytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		task := taskMsg{
-			Seq: rng.Intn(1 << 16), JobName: randomWireString(rng), Phase: randomWireString(rng),
-			Conf: randomWireBytes(rng), NumReducers: rng.Intn(16), Records: randomWirePairs(rng, 8),
-		}
-		res := resultMsg{Seq: rng.Intn(1 << 16), Err: randomWireString(rng)}
-		for i := 0; i < rng.Intn(4); i++ {
-			res.Parts = append(res.Parts, randomWirePairs(rng, 6))
-		}
-
-		var v2buf, v3buf writeBuffer
-		v2 := &frameCodec{w: &v2buf, st: &wireStats{}, version: WireVersionFrames}
-		v3, _ := v3Peers(&v3buf, &wireStats{}, false)
-		if _, err := v2.writeTask(&task); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v3.writeTask(&task); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v2.writeResult(&res); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v3.writeResult(&res); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(v2buf.b, v3buf.b) {
-			t.Fatalf("trial %d: v3-off stream differs from v2 stream", trial)
-		}
-	}
-}
-
-// TestWireV2GoldenFrameBytes pins the v2 frame layout against a
+// TestWireGoldenFrameBytes pins the frame layout against a
 // hand-assembled byte string, independent of the codec's own encoder.
-func TestWireV2GoldenFrameBytes(t *testing.T) {
+func TestWireGoldenFrameBytes(t *testing.T) {
 	task := taskMsg{Seq: 7, JobName: "jb", Phase: "map", Conf: []byte{1, 2},
-		NumReducers: 3, Records: []Pair{{Key: "k", Value: []byte("v")}}}
+		NumReducers: 3, Records: []Pair{{Key: "k", Value: []byte("v")}}, Flags: taskFlagCompress}
 
 	var want []byte
 	body := []byte{frameTask}
-	body = binary.AppendUvarint(body, 7)          // Seq
-	body = append(body, 2, 'j', 'b')              // JobName
-	body = append(body, 3, 'm', 'a', 'p')         // Phase
-	body = append(body, 2, 1, 2)                  // Conf
-	body = append(body, 3)                        // NumReducers
-	body = append(body, 1, 1, 'k', 1, 'v')        // Records
+	body = append(body, taskFlagCompress)  // Flags
+	body = binary.AppendUvarint(body, 7)   // Seq
+	body = append(body, 2, 'j', 'b')       // JobName
+	body = append(body, 3, 'm', 'a', 'p')  // Phase
+	body = append(body, 2, 1, 2)           // Conf
+	body = append(body, 3)                 // NumReducers
+	body = append(body, 1, 1, 'k', 1, 'v') // Records
 	want = binary.AppendUvarint(want, uint64(len(body)))
 	want = append(want, body...)
 
 	var buf writeBuffer
-	enc := &frameCodec{w: &buf, st: &wireStats{}, version: WireVersionFrames}
+	enc := &frameCodec{w: &buf, st: &wireStats{}}
 	if _, err := enc.writeTask(&task); err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +130,21 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 		t.Fatalf("task frame bytes:\n got %x\nwant %x", buf.b, want)
 	}
 
-	res := resultMsg{Seq: 9, Parts: [][]Pair{{{Key: "a", Value: []byte("b")}}}}
+	res := resultMsg{Seq: 9, ShardTok: 5, ShardStart: 1, ShardEnd: 300,
+		Parts: [][]Pair{{{Key: "a", Value: []byte("b")}}}}
 	var wantRes []byte
 	rbody := []byte{frameResult}
-	rbody = binary.AppendUvarint(rbody, 9)  // Seq
-	rbody = append(rbody, 0)                // Err
-	rbody = append(rbody, 1)                // len(Parts)
+	rbody = append(rbody, 5, 1)              // ShardTok, ShardStart
+	rbody = binary.AppendUvarint(rbody, 300) // ShardEnd
+	rbody = binary.AppendUvarint(rbody, 9)   // Seq
+	rbody = append(rbody, 0)                 // Err
+	rbody = append(rbody, 1)                 // len(Parts)
 	rbody = append(rbody, 1, 1, 'a', 1, 'b')
 	wantRes = binary.AppendUvarint(wantRes, uint64(len(rbody)))
 	wantRes = append(wantRes, rbody...)
 
 	var rbuf writeBuffer
-	if _, err := (&frameCodec{w: &rbuf, st: &wireStats{}, version: WireVersionFrames}).writeResult(&res); err != nil {
+	if _, err := (&frameCodec{w: &rbuf, st: &wireStats{}}).writeResult(&res); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rbuf.b, wantRes) {
@@ -185,9 +152,8 @@ func TestWireV2GoldenFrameBytes(t *testing.T) {
 	}
 }
 
-// TestWireV3TaskFlagsAndResultIO round-trips the two v3-only frame
-// kinds: 't' carrying task flags and 'r' carrying shard-read
-// attribution.
+// TestWireV3TaskFlagsAndResultIO round-trips the task flags and the
+// result frame's shard-read attribution.
 func TestWireV3TaskFlagsAndResultIO(t *testing.T) {
 	var st wireStats
 	var buf writeBuffer
@@ -290,9 +256,10 @@ func TestWireMalformedCompressedFrames(t *testing.T) {
 // rawFrameResultBody is the hand-assembled golden result body (sans
 // kind byte) shared by the corruption tests.
 func rawFrameResultBody() []byte {
-	b := binary.AppendUvarint(nil, 9) // Seq
-	b = append(b, 0)                  // Err
-	b = append(b, 1)                  // len(Parts)
+	b := []byte{0, 0, 0}           // ShardTok, ShardStart, ShardEnd
+	b = binary.AppendUvarint(b, 9) // Seq
+	b = append(b, 0)               // Err
+	b = append(b, 1)               // len(Parts)
 	return append(b, 1, 1, 'a', 1, 'b')
 }
 
@@ -329,27 +296,6 @@ func TestWireIncompressibleShipsRaw(t *testing.T) {
 	}
 }
 
-// TestWireV3HelloNegotiation extends the handshake matrix to the packed
-// version: v2 and v1 peers pull a v3 peer down to their level.
-func TestWireV3HelloNegotiation(t *testing.T) {
-	cases := []struct{ worker, master, want byte }{
-		{WireVersionPacked, WireVersionPacked, WireVersionPacked},
-		{WireVersionFrames, WireVersionPacked, WireVersionFrames},
-		{WireVersionPacked, WireVersionFrames, WireVersionFrames},
-		{WireVersionGob, WireVersionPacked, WireVersionGob},
-		{WireVersionPacked + 9, WireVersionPacked, WireVersionPacked},
-	}
-	for _, c := range cases {
-		wv, mv, werr, merr := helloPeers(t, c.worker, c.master)
-		if werr != nil || merr != nil {
-			t.Fatalf("hello(%d,%d): worker err %v, master err %v", c.worker, c.master, werr, merr)
-		}
-		if wv != c.want || mv != c.want {
-			t.Fatalf("hello(%d,%d) = worker %d, master %d; want %d", c.worker, c.master, wv, mv, c.want)
-		}
-	}
-}
-
 // TestReadExactlyBoundedByStream checks the hostile-length defense: a
 // huge declared size backed by a short stream errors out without the
 // reader ever holding more than the arrived bytes plus one chunk.
@@ -368,54 +314,6 @@ func TestReadExactlyBoundedByStream(t *testing.T) {
 	small, err := readExactly(strings.NewReader("abc"), 3)
 	if err != nil || string(small) != "abc" {
 		t.Fatalf("small read = %q, %v", small, err)
-	}
-}
-
-// TestPackedEmbedBucketRoundTrip checks the 'e' record against the 'E'
-// record: same decode, fewer bytes for sorted indices, and dispatch
-// through ParseAnyEmbedBucket for both kinds.
-func TestPackedEmbedBucketRoundTrip(t *testing.T) {
-	indices := []int32{3, 10, 11, 500, 501, 502, 90000}
-	const dim = 4
-	rng := rand.New(rand.NewSource(35))
-	rows := make([]float64, len(indices)*dim)
-	for i := range rows {
-		rows[i] = rng.NormFloat64()
-	}
-
-	packed := AppendPackedEmbedBucket(nil, indices, dim, rows)
-	raw := AppendEmbedBucket(nil, indices, dim, rows)
-	if len(packed) >= len(raw) {
-		t.Fatalf("packed %d bytes >= raw %d bytes for sorted indices", len(packed), len(raw))
-	}
-	for _, rec := range [][]byte{packed, raw} {
-		gotIdx, gotDim, gotRows, err := ParseAnyEmbedBucket(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDim != dim || len(gotIdx) != len(indices) || len(gotRows) != len(rows) {
-			t.Fatalf("shape mismatch: dim %d, %d indices, %d row values", gotDim, len(gotIdx), len(gotRows))
-		}
-		for i := range indices {
-			if gotIdx[i] != indices[i] {
-				t.Fatalf("index %d: got %d want %d", i, gotIdx[i], indices[i])
-			}
-		}
-		for i := range rows {
-			if gotRows[i] != rows[i] {
-				t.Fatalf("row value %d: got %v want %v", i, gotRows[i], rows[i])
-			}
-		}
-	}
-
-	// Truncations of the packed record must fail cleanly.
-	for cut := 0; cut < len(packed); cut++ {
-		if _, _, _, err := ParsePackedEmbedBucket(packed[:cut]); err == nil {
-			t.Fatalf("packed truncation at %d accepted", cut)
-		}
-	}
-	if _, _, _, err := ParsePackedEmbedBucket(append(append([]byte(nil), packed...), 0)); err == nil {
-		t.Fatal("packed trailing garbage accepted")
 	}
 }
 
@@ -474,20 +372,21 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseEmbedBucket drives both embed record decoders over arbitrary
-// bytes; a nil error must imply internally consistent shapes.
+// FuzzParseEmbedBucket drives the bucket record decoder over
+// arbitrary bytes of either kind; a nil error must imply a known kind
+// and internally consistent shapes.
 func FuzzParseEmbedBucket(f *testing.F) {
-	f.Add(AppendEmbedBucket(nil, []int32{1, 2}, 2, []float64{1, 2, 3, 4}))
-	f.Add(AppendPackedEmbedBucket(nil, []int32{1, 2}, 2, []float64{1, 2, 3, 4}))
-	f.Add([]byte{PackedEmbedBucketKind, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(AppendBucketRecord(nil, EmbedBucketKind, []int{1, 2}, 2, []float64{1, 2, 3, 4}))
+	f.Add(AppendBucketRecord(nil, RawBucketKind, []int{5, 3, 900}, 1, []float64{1, 2, 3}))
+	f.Add([]byte{EmbedBucketKind, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, dim, rows, err := ParseAnyEmbedBucket(data)
+		kind, idx, dim, rows, err := ParseBucketRecord(data)
 		if err != nil {
 			return
 		}
-		if dim <= 0 || len(idx) == 0 || len(rows) != len(idx)*dim {
-			t.Fatalf("accepted inconsistent bucket: %d indices, dim %d, %d row values",
-				len(idx), dim, len(rows))
+		if (kind != EmbedBucketKind && kind != RawBucketKind) || dim <= 0 || len(idx) == 0 || len(rows) != len(idx)*dim {
+			t.Fatalf("accepted inconsistent %q bucket: %d indices, dim %d, %d row values",
+				kind, len(idx), dim, len(rows))
 		}
 	})
 }
