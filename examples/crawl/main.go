@@ -41,9 +41,10 @@ func main() {
 
 	// Clean and vectorize the downloaded HTML (strip, stem, tf-idf,
 	// top-11 terms per document).
+	var cl text.Cleaner
 	cleaned := make([][]string, len(res.Docs))
 	for i, d := range res.Docs {
-		cleaned[i] = text.Clean(d)
+		cleaned[i] = cl.Clean(d)
 	}
 	pts, vocab, err := text.VectorizeTopTerms(cleaned, 11)
 	if err != nil {

@@ -221,13 +221,16 @@ func sampleZipf(rng *rand.Rand, cum []float64) int {
 }
 
 // Vectorize runs the full text pipeline over the corpus and returns the
-// tf-idf vectors with ground-truth labels: Clean each document, keep
-// each document's top-f terms by tf-idf (the paper's F=11 scheme), and
-// embed every document in the union vocabulary of kept terms.
+// tf-idf vectors with ground-truth labels: clean each document through
+// one text.Cleaner (StreamDense's cleaning path, so each distinct token
+// is stemmed once), keep each document's top-f terms by tf-idf (the
+// paper's F=11 scheme), and embed every document in the union
+// vocabulary of kept terms.
 func (c *Corpus) Vectorize(f int) (*dataset.Labeled, error) {
+	var cl text.Cleaner
 	cleaned := make([][]string, len(c.Docs))
 	for i, d := range c.Docs {
-		cleaned[i] = text.Clean(d)
+		cleaned[i] = cl.Clean(d)
 	}
 	pts, _, err := text.VectorizeTopTerms(cleaned, f)
 	if err != nil {

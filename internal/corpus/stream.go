@@ -1,10 +1,13 @@
 package corpus
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/analytic"
 	"repro/internal/matrix"
@@ -134,8 +137,9 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // document, clean it, keep its top-f terms by tf-idf, project into dims
 // dense dimensions, and hand the L2-normalized row to fn. It is the
 // streaming twin of Generate + VectorizeDense and produces bitwise-
-// identical rows, holding only the document-frequency table and the
-// lazily-grown projection rows in memory (O(vocabulary), not O(N)).
+// identical rows, holding only the document-frequency table, the
+// lazily-grown projection rows, the workers' stem memos and a constant
+// number of document batches in memory (O(vocabulary), not O(N)).
 //
 // Two passes drive it: the first streams the corpus to count document
 // frequencies (exactly VectorizeTopTerms' df map), the second re-streams
@@ -148,7 +152,19 @@ func GenerateStream(cfg Config, fn func(doc string, label int) error) (*Meta, er
 // both paths; zero-skipping accumulation mirrors matrix.Mul and the
 // norm mirrors matrix.Norm2, making every float op order-identical.
 //
-// The row slice passed to fn is reused; fn must not retain it.
+// Each pass fans out: one goroutine generates documents from the single
+// seeded stream and sends them in batches to runtime.GOMAXPROCS(0)
+// workers, each owning a text.Cleaner whose stem memo serves both
+// passes. Workers do the per-document work — cleaning, and in pass 2
+// scoring and sorting against the df table pass 1 froze. The calling
+// goroutine takes their results in document order and does everything
+// order-sensitive: counting df, drawing projection rows, projecting,
+// normalizing and calling fn. So fn runs on the caller's goroutine, in
+// document order, exactly as in a sequential loop.
+//
+// A non-nil error from fn stops generation and is returned unwrapped;
+// no goroutine outlives the call. The row slice passed to fn is reused;
+// fn must not retain it.
 func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, label int) error) (*Meta, error) {
 	if f < 1 {
 		return nil, fmt.Errorf("corpus: F=%d must be positive", f)
@@ -156,17 +172,16 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	if dims < 1 {
 		return nil, fmt.Errorf("corpus: dims=%d", dims)
 	}
+	workers := make([]*ingestWorker, runtime.GOMAXPROCS(0))
+	for i := range workers {
+		workers[i] = &ingestWorker{tf: map[string]int{}}
+	}
 
 	// Pass 1: document frequencies over the cleaned token streams.
 	df := map[string]int{}
-	seen := map[string]bool{}
-	meta, err := GenerateStream(cfg, func(doc string, _ int) error {
-		clear(seen)
-		for _, t := range text.Clean(doc) {
-			if !seen[t] {
-				seen[t] = true
-				df[t]++
-			}
+	meta, err := fanOut(cfg, workers, (*ingestWorker).distinctStems, func(stems []string, _ int) error {
+		for _, t := range stems {
+			df[t]++
 		}
 		return nil
 	})
@@ -207,41 +222,19 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 		return j
 	}
 
-	type weighted struct {
-		term string
-		w    float64
+	topTerms := func(w *ingestWorker, doc string) []weighted {
+		return w.topTerms(doc, f, idf)
 	}
-	var ws []weighted
 	var ents []sparseEntry
-	tf := map[string]int{}
 	row := make([]float64, dims)
-	_, err = GenerateStream(cfg, func(doc string, label int) error {
+	_, err = fanOut(cfg, workers, topTerms, func(ws []weighted, label int) error {
 		for i := range row {
 			row[i] = 0
 		}
-		toks := text.Clean(doc)
-		if len(toks) == 0 {
+		if len(ws) == 0 {
 			// Mirrors the batch path: a document with no usable terms
 			// keeps its zero row.
 			return fn(row, label)
-		}
-		clear(tf)
-		for _, t := range toks {
-			tf[t]++
-		}
-		ws = ws[:0]
-		invLen := 1 / float64(len(toks))
-		for t, c := range tf {
-			ws = append(ws, weighted{t, float64(c) * invLen * idf(t)})
-		}
-		sort.Slice(ws, func(a, b int) bool {
-			if !matrix.ApproxEqual(ws[a].w, ws[b].w, 0) {
-				return ws[a].w > ws[b].w
-			}
-			return ws[a].term < ws[b].term
-		})
-		if len(ws) > f {
-			ws = ws[:f]
 		}
 		// Discover vocabulary in kept (rank) order — the batch path's
 		// first-use order — then process entries in column order, which
@@ -274,6 +267,161 @@ func StreamDense(cfg Config, f, dims int, seed int64, fn func(row []float64, lab
 	}
 	meta.Terms = len(projRows)
 	return meta, nil
+}
+
+// ingestWorker is one StreamDense worker's state: its stem memo and a
+// scratch term-count map, reused across documents and both passes.
+type ingestWorker struct {
+	cleaner text.Cleaner
+	tf      map[string]int
+}
+
+// weighted is one term of a document with its tf-idf weight.
+type weighted struct {
+	term string
+	w    float64
+}
+
+// distinctStems returns the document's distinct cleaned tokens in
+// first-occurrence order: the terms whose document frequency it raises.
+func (w *ingestWorker) distinctStems(doc string) []string {
+	clear(w.tf)
+	toks := w.cleaner.Clean(doc)
+	out := toks[:0]
+	for _, t := range toks {
+		if w.tf[t] == 0 {
+			w.tf[t] = 1
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// topTerms returns the document's top-f terms by tf-idf, heaviest
+// first with ties broken by term — VectorizeTopTerms' ranking. A
+// document with no usable terms gives nil.
+func (w *ingestWorker) topTerms(doc string, f int, idf func(string) float64) []weighted {
+	toks := w.cleaner.Clean(doc)
+	if len(toks) == 0 {
+		return nil
+	}
+	clear(w.tf)
+	for _, t := range toks {
+		w.tf[t]++
+	}
+	ws := make([]weighted, 0, len(w.tf))
+	invLen := 1 / float64(len(toks))
+	for t, c := range w.tf {
+		ws = append(ws, weighted{t, float64(c) * invLen * idf(t)})
+	}
+	sort.Slice(ws, func(a, b int) bool {
+		if !matrix.ApproxEqual(ws[a].w, ws[b].w, 0) {
+			return ws[a].w > ws[b].w
+		}
+		return ws[a].term < ws[b].term
+	})
+	if len(ws) > f {
+		ws = ws[:f]
+	}
+	return ws
+}
+
+// docsPerBatch is how many documents the generator hands a worker at
+// once: enough to amortize the channel hand-offs, small enough that the
+// batches in flight stay a small buffer next to the vocabulary.
+const docsPerBatch = 64
+
+// docBatch carries consecutive documents from the generator to a
+// worker, and their results from the worker to the consumer; done is
+// closed once out is filled.
+type docBatch[R any] struct {
+	docs   []string
+	labels []int
+	out    []R
+	done   chan struct{}
+}
+
+// errStopped ends generation once the consumer has given up.
+var errStopped = errors.New("corpus: stream stopped")
+
+// fanOut generates cfg's corpus on one producer goroutine, maps every
+// document through work on one goroutine per worker, and hands each
+// result to consume on the calling goroutine, in document order. At
+// most 2*len(workers) batches wait for the consumer, so memory stays
+// bounded whatever the corpus size. A non-nil error from consume stops
+// generation and is returned unwrapped; every goroutine fanOut starts
+// has exited when it returns, also when consume panics.
+func fanOut[R any](cfg Config, workers []*ingestWorker, work func(*ingestWorker, string) R, consume func(R, int) error) (meta *Meta, err error) {
+	// order queues batches in document order for the consumer; its
+	// buffer bounds the batches in flight, and two per worker keep
+	// every worker busy while the consumer waits on the oldest.
+	order := make(chan *docBatch[R], 2*len(workers))
+	todo := make(chan *docBatch[R])
+	stop := make(chan struct{})
+	var (
+		genMeta *Meta
+		genErr  error
+		wg      sync.WaitGroup
+	)
+	wg.Add(1 + len(workers))
+	go func() {
+		defer wg.Done()
+		defer close(order)
+		defer close(todo)
+		b := &docBatch[R]{done: make(chan struct{})}
+		send := func() error {
+			for _, ch := range []chan *docBatch[R]{order, todo} {
+				select {
+				case ch <- b:
+				case <-stop:
+					return errStopped
+				}
+			}
+			b = &docBatch[R]{done: make(chan struct{})}
+			return nil
+		}
+		m, err := GenerateStream(cfg, func(doc string, label int) error {
+			b.docs = append(b.docs, doc)
+			b.labels = append(b.labels, label)
+			if len(b.docs) < docsPerBatch {
+				return nil
+			}
+			return send()
+		})
+		if err == nil && len(b.docs) > 0 {
+			err = send()
+		}
+		genMeta, genErr = m, err
+	}()
+	for _, w := range workers {
+		go func(w *ingestWorker) {
+			defer wg.Done()
+			for b := range todo {
+				b.out = make([]R, len(b.docs))
+				for i, doc := range b.docs {
+					b.out[i] = work(w, doc)
+				}
+				close(b.done)
+			}
+		}(w)
+	}
+
+	defer func() {
+		close(stop)
+		wg.Wait()
+		if err == nil {
+			meta, err = genMeta, genErr
+		}
+	}()
+	for b := range order {
+		<-b.done
+		for i, r := range b.out {
+			if err := consume(r, b.labels[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return nil, nil
 }
 
 // sparseEntry is one non-zero of a document's tf-idf row: column index

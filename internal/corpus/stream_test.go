@@ -2,8 +2,12 @@ package corpus
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestGenerateStreamByteIdentity is the streaming contract: the
@@ -131,5 +135,129 @@ func TestStreamDenseValidation(t *testing.T) {
 	}
 	if _, err := StreamDense(Config{NumDocs: 0}, 11, 4, 1, fn); err == nil {
 		t.Error("empty corpus accepted")
+	}
+}
+
+// TestStreamDenseBitwiseIdentityProcs repeats the bitwise contract with
+// one worker and with four: the fan-out must not change a bit or the
+// row order, however the documents are spread over workers.
+func TestStreamDenseBitwiseIdentityProcs(t *testing.T) {
+	cfg := Config{NumDocs: 300, NumCategories: 8, Seed: 41}
+	const f, dims, seed = 11, 12, 9
+	c, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := c.VectorizeDense(f, dims, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfidf, err := c.Vectorize(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var rows [][]float64
+		var labels []int
+		meta, err := StreamDense(cfg, f, dims, seed, func(row []float64, label int) error {
+			rows = append(rows, append([]float64(nil), row...))
+			labels = append(labels, label)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if len(rows) != cfg.NumDocs {
+			t.Fatalf("procs=%d: streamed %d rows, want %d", procs, len(rows), cfg.NumDocs)
+		}
+		if meta.Terms != tfidf.Points.Cols() {
+			t.Fatalf("procs=%d: %d terms, batch vocabulary %d", procs, meta.Terms, tfidf.Points.Cols())
+		}
+		for i, row := range rows {
+			want := batch.Points.Row(i)
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(want[j]) {
+					t.Fatalf("procs=%d row %d col %d: stream %v batch %v", procs, i, j, v, want[j])
+				}
+			}
+			if labels[i] != batch.Labels[i] {
+				t.Fatalf("procs=%d: label %d = %d, batch %d", procs, i, labels[i], batch.Labels[i])
+			}
+		}
+	}
+}
+
+// TestStreamDenseAbort checks an fn error stops the stream: it comes
+// back unwrapped, fn is not called again, and every goroutine the
+// fan-out started has exited.
+func TestStreamDenseAbort(t *testing.T) {
+	start := runtime.NumGoroutine()
+	boom := errors.New("boom")
+	n := 0
+	_, err := StreamDense(Config{NumDocs: 2000, NumCategories: 4, Seed: 3}, 11, 8, 1, func([]float64, int) error {
+		n++
+		if n == 7 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want boom unwrapped", err)
+	}
+	if n != 7 {
+		t.Fatalf("fn ran %d times, want 7", n)
+	}
+	// StreamDense waits for its goroutines, but one that has signalled
+	// the wait can still be counted for a moment while it unwinds.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > start {
+		t.Fatalf("%d goroutines after abort, %d before", got, start)
+	}
+}
+
+// TestStreamDenseCallsFnOnCaller checks fn runs on the goroutine that
+// called StreamDense — the contract that lets fn use non-thread-safe
+// caller state, and lets tests call t.Fatal from it.
+func TestStreamDenseCallsFnOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	caller := goroutineID()
+	rows := 0
+	_, err := StreamDense(Config{NumDocs: 300, NumCategories: 4, Seed: 5}, 11, 8, 1, func([]float64, int) error {
+		rows++
+		if id := goroutineID(); id != caller {
+			return fmt.Errorf("fn ran on goroutine %s, caller is %s", id, caller)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != 300 {
+		t.Fatalf("fn ran %d times, want 300", rows)
+	}
+}
+
+// goroutineID returns the current goroutine's number from the header
+// line of its stack trace, "goroutine N [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// BenchmarkStreamDense times the out-of-core vectorizer end to end over
+// a 2k-document corpus at the paper's F = d = 11.
+func BenchmarkStreamDense(b *testing.B) {
+	cfg := Config{NumDocs: 2000, Seed: 1, VocabSize: 8192}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := StreamDense(cfg, 11, 11, 1, func([]float64, int) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

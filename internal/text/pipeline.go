@@ -7,26 +7,25 @@ import (
 
 // StripHTML removes tags and script/style bodies from an HTML fragment,
 // returning the raw text with tags replaced by spaces (step (i) of the
-// paper's cleaning pipeline).
+// paper's cleaning pipeline). Tag names match case-insensitively in
+// ASCII, as HTML defines them, directly on s's bytes.
 func StripHTML(s string) string {
 	var sb strings.Builder
 	sb.Grow(len(s))
 	inTag := false
 	var skipUntil string // closing tag that ends a skipped element
 	i := 0
-	lower := strings.ToLower(s)
 	for i < len(s) {
 		c := s[i]
 		if !inTag && c == '<' {
 			if skipUntil == "" {
 				for _, elem := range []string{"script", "style"} {
-					open := "<" + elem
-					if strings.HasPrefix(lower[i:], open) {
+					if hasPrefixFold(s[i:], "<"+elem) {
 						skipUntil = "</" + elem
 						break
 					}
 				}
-			} else if strings.HasPrefix(lower[i:], skipUntil) {
+			} else if hasPrefixFold(s[i:], skipUntil) {
 				skipUntil = ""
 			}
 			inTag = true
@@ -49,6 +48,25 @@ func StripHTML(s string) string {
 		i++
 	}
 	return sb.String()
+}
+
+// hasPrefixFold reports whether s begins with prefix, ignoring ASCII
+// case. prefix must be lower-case ASCII; a non-ASCII byte in s never
+// matches it.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Tokenize lower-cases the text and splits it on any non-letter rune,
@@ -84,15 +102,47 @@ yourself yourselves`) {
 func IsStopWord(w string) bool { return stopWords[w] }
 
 // Clean runs the full pipeline on raw HTML: strip tags, tokenize,
-// drop stop words and single-letter tokens, and stem what remains.
+// drop stop words and single-letter tokens, and stem what remains. It
+// is the one-shot form of Cleaner.Clean; to clean many documents, reuse
+// one Cleaner so each distinct token is stemmed once.
 func Clean(html string) []string {
+	var c Cleaner
+	return c.Clean(html)
+}
+
+// Cleaner runs the Clean pipeline with a memo from raw token to Porter
+// stem. A corpus repeats a small vocabulary across its documents, so a
+// Cleaner reused over them stems each distinct token once. The memo
+// holds only copies of tokens, never substrings of a document, so it
+// pins no input; it grows with the distinct tokens seen and is freed
+// with the Cleaner. The zero value is ready to use.
+//
+// A Cleaner is not safe for concurrent use; give each goroutine its own.
+type Cleaner struct {
+	stems map[string]string
+}
+
+// Clean is the package-level Clean, memoizing stems in c.
+func (c *Cleaner) Clean(html string) []string {
+	if c.stems == nil {
+		c.stems = map[string]string{}
+	}
 	toks := Tokenize(StripHTML(html))
 	out := toks[:0]
 	for _, t := range toks {
 		if len(t) < 2 || IsStopWord(t) {
 			continue
 		}
-		out = append(out, PorterStem(t))
+		stem, ok := c.stems[t]
+		if !ok {
+			// t is a substring of the document's lowered copy: key the
+			// memo by a clone, and stem the clone, since PorterStem
+			// returns short words as given.
+			t = strings.Clone(t)
+			stem = PorterStem(t)
+			c.stems[t] = stem
+		}
+		out = append(out, stem)
 	}
 	return out
 }
